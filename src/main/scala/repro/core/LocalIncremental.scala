@@ -8,18 +8,20 @@ import scala.collection.mutable
   * benches (η of §IV-D).
   *
   * @param repicked  labels whose (src, pos) was re-picked (Categories 2/3)
-  * @param corrected labels whose *value* changed (repick or downstream
-  *                  correction) — the paper's η
-  * @param rounds    correction-propagation rounds until quiescence
+  * @param corrected labels whose final value differs from their value
+  *                  before the batch, each (vertex, pos) once — the paper's η
+  * @param touched   labels re-picked or written by the correction cascade
+  * @param rounds    highest position the correction cascade reached
   */
 final case class UpdateStats(repicked: Long, corrected: Long, touched: Long, rounds: Int)
 
 /** Incremental updating of an rSLPA propagation state after a batch of
   * edge insertions/deletions (Algorithm 2, "Correction Propagation").
   *
-  * Phase 1 — adjacent edge changes (§IV-A): classify every vertex by how
-  * its neighborhood changed and keep every pick that can still be regarded
-  * as uniform on the new graph:
+  * Phase 1 — adjacent edge changes (§IV-A): every vertex whose
+  * neighborhood changed gets one [[Picks.diff]] of its old and new
+  * adjacency, which then decides each of its T picks, keeping every pick
+  * that can still be regarded as uniform on the new graph:
   *  - Category 1 (unchanged neighborhood): keep everything;
   *  - Category 2 (only lost neighbors): re-pick only picks whose source
   *    edge was deleted (Theorem 4);
@@ -29,24 +31,17 @@ final case class UpdateStats(repicked: Long, corrected: Long, touched: Long, rou
   *    uniformly among all current neighbors.
   *
   * Phase 2 — subsequent updates (§IV-B): changed label values are pushed
-  * along the reverse receiver records R; a change at position t can only
-  * trigger changes at positions > t, so processing corrections in
-  * ascending position order reaches the unique fixpoint
-  * (l_i^t = l_{src}^{pos} for all t) in ≤ T steps.
+  * along the reverse receiver records R. A receiver's position is always
+  * greater than its source's, so changed labels wait in one bucket per
+  * position and the buckets are drained in ascending order: a label's
+  * bucket is drained only after every label it can read from has settled,
+  * which reaches the unique fixpoint (l_i^t = l_{src}^{pos} for all t) with
+  * each changed label pushed to its receivers once.
   *
   * The state is mutated in place; `seed`/`epoch` determinize the re-picks
   * (a fresh `epoch` per batch keeps successive batches independent).
   */
 object LocalIncremental {
-
-  /** The deterministic Category-2/3 decision for `(i, t)` — delegates to
-    * [[Picks.repick]], shared with the Spark engine.
-    */
-  def repickDecision(oldAdj: Array[Int], newAdj: Array[Int], i: Int, t: Int,
-                     curSrc: Int, seed: Long, epoch: Long): Option[(Int, Int)] =
-    Picks
-      .repick(oldAdj.map(_.toLong), newAdj.map(_.toLong), i.toLong, t, curSrc.toLong, seed, epoch)
-      .map { case (s, p) => (s.toInt, p) }
 
   /** Apply the edit batch: update `st` in place to the distributionally
     * correct state for `newG`.
@@ -55,19 +50,22 @@ object LocalIncremental {
              seed: Long, epoch: Long): UpdateStats = {
     require(oldG.n == newG.n && st.n == newG.n, "vertex sets must match")
     val n = st.n; val T = st.T
+    // Labels are keyed i * (T + 1) + t.
+    def key(i: Int, t: Int): Long = i.toLong * (T + 1) + t
+    val touched = new PackedBitSet(n.toLong * (T + 1))
+    // Value before the batch of every label changed so far; a label enters
+    // its position's bucket when it first changes.
+    val before = mutable.LongMap.empty[Long]
+    val buckets = Array.fill(T + 1)(new mutable.ArrayBuilder.ofInt)
     var repicked = 0L
-    val touched = mutable.HashSet.empty[(Int, Int)]
-    val changed = mutable.HashSet.empty[(Int, Int)]
-    // Corrections ordered by ascending position: all upstream positions are
-    // final when an entry pops, so each label settles exactly once.
-    val queue = mutable.PriorityQueue.empty[(Int, Int)](Ordering.by { case (_, t) => -t })
 
     def setLabel(i: Int, t: Int, l: Long): Unit = {
-      touched += ((i, t))
-      if (st.labels(i)(t) != l) {
+      val k = key(i, t)
+      touched += k
+      val old = st.labels(i)(t)
+      if (old != l) {
+        if (!before.contains(k)) { before(k) = old; buckets(t) += i }
         st.labels(i)(t) = l
-        changed += ((i, t))
-        queue.enqueue((i, t))
       }
     }
 
@@ -75,17 +73,19 @@ object LocalIncremental {
     var i = 0
     while (i < n) {
       val oldAdj = oldG.adj(i); val newAdj = newG.adj(i)
-      if (!newAdj.sameElements(oldAdj)) {
+      if (!java.util.Arrays.equals(oldAdj, newAdj)) {
+        val diff = Picks.diff(oldAdj.map(_.toLong), newAdj.map(_.toLong), i.toLong)
         var t = 1
         while (t <= T) {
-          repickDecision(oldAdj, newAdj, i, t, st.srcs(i)(t), seed, epoch) match {
-            case Some((src2, pos2)) =>
-              val (src0, pos0) = (st.srcs(i)(t), st.poss(i)(t))
-              st.recv(src0)(pos0) = st.recv(src0)(pos0).filterNot(_ == ((i, t)))
+          diff.repick(t, st.srcs(i)(t), seed, epoch) match {
+            case Some((s, pos2)) =>
+              val src2 = s.toInt
+              val src0 = st.srcs(i)(t); val pos0 = st.poss(i)(t)
+              val rec = (i, t)
+              st.recv(src0)(pos0) = st.recv(src0)(pos0).filterNot(_ == rec)
               st.srcs(i)(t) = src2; st.poss(i)(t) = pos2
-              st.recv(src2)(pos2) ::= ((i, t))
+              st.recv(src2)(pos2) ::= rec
               repicked += 1
-              touched += ((i, t))
               setLabel(i, t, st.labels(src2)(pos2))
             case None => ()
           }
@@ -95,14 +95,32 @@ object LocalIncremental {
       i += 1
     }
 
-    // Phase 2: correction propagation along R.
+    // Phase 2: correction propagation along R, one position at a time.
     var rounds = 0
-    while (queue.nonEmpty) {
-      val (j, p) = queue.dequeue()
-      val l = st.labels(j)(p)
-      st.recv(j)(p).foreach { case (tar, k) => setLabel(tar, k, l) }
-      rounds = math.max(rounds, p)
+    var p = 1
+    while (p <= T) {
+      val js = buckets(p).result()
+      for (j <- js) {
+        val l = st.labels(j)(p)
+        st.recv(j)(p).foreach { case (tar, k) => setLabel(tar, k, l) }
+      }
+      if (js.nonEmpty) rounds = p
+      p += 1
     }
-    UpdateStats(repicked, changed.size.toLong, touched.size.toLong, rounds)
+    val corrected = before.count { case (k, l) => st.labels((k / (T + 1)).toInt)((k % (T + 1)).toInt) != l }
+    UpdateStats(repicked, corrected.toLong, touched.size, rounds)
+  }
+
+  /** A set of labels keyed as in `update`, one bit each. */
+  private final class PackedBitSet(capacity: Long) {
+    private val words = new Array[Long](((capacity + 63) >>> 6).toInt)
+    private var count = 0L
+
+    def +=(k: Long): Unit = {
+      val w = (k >>> 6).toInt; val bit = 1L << (k & 63)
+      if ((words(w) & bit) == 0) { words(w) |= bit; count += 1 }
+    }
+
+    def size: Long = count
   }
 }

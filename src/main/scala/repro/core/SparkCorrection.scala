@@ -9,10 +9,10 @@ import repro.core.SparkRSLPA.RVState
   * produced by [[SparkRSLPA]].
   *
   * Round structure mirrors the paper's Mapper/Reducer pseudocode:
-  *  1. every vertex with a changed neighborhood evaluates `NeedRepick` /
-  *     `Repick` for each of its T picks ([[Picks.repick]], deterministic),
-  *     emitting *unregister* messages to old sources and *fetch* requests
-  *     to new sources;
+  *  1. every vertex with a changed neighborhood builds its [[Picks.diff]]
+  *     once and evaluates `NeedRepick` / `Repick` for each of its T picks
+  *     (deterministic), emitting *unregister* messages to old sources and
+  *     *fetch* requests to new sources;
   *  2. sources serve the requested labels and maintain their receiver
   *     records R (§IV-B's maintenance);
   *  3. requesters apply the answers; every label whose value changed
@@ -37,8 +37,9 @@ import repro.core.SparkRSLPA.RVState
   */
 object SparkCorrection {
 
-  /** Stats mirroring [[UpdateStats]]: picks changed, label values changed,
-    * correction rounds until quiescence.
+  /** Stats mirroring [[UpdateStats]]: picks changed, labels whose final
+    * value differs from their value before the batch (η, each (vertex, pos)
+    * once), and driver rounds of the correction cascade.
     */
   final case class SparkUpdateStats(repicked: Long, corrected: Long, rounds: Int)
 
@@ -67,7 +68,6 @@ object SparkCorrection {
     val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
     val part = new HashPartitioner(parts)
     val repickedAcc = sc.longAccumulator("repicked")
-    val correctedAcc = sc.longAccumulator("corrected")
 
     val state =
       if (state0.getStorageLevel == StorageLevel.NONE) state0.persist(StorageLevel.MEMORY_AND_DISK)
@@ -77,15 +77,18 @@ object SparkCorrection {
     // Phase 1a: decide repicks, address unregister/fetch events to sources.
     val events: RDD[(Long, Event)] = state.join(nadj, part).flatMap { case (i, (st, nn)) =>
       if (java.util.Arrays.equals(st.nbrs, nn)) Iterator.empty
-      else (1 to T).iterator.flatMap { t =>
-        Picks.repick(st.nbrs, nn, i, t, st.srcs(t), seed, epoch) match {
-          case Some((src2, pos2)) =>
-            repickedAcc.add(1)
-            Iterator(
-              (st.srcs(t), (0, st.poss(t), i, t): Event),
-              (src2, (1, pos2, i, t): Event)
-            )
-          case None => Iterator.empty
+      else {
+        val diff = Picks.diff(st.nbrs, nn, i)
+        (1 to T).iterator.flatMap { t =>
+          diff.repick(t, st.srcs(t), seed, epoch) match {
+            case Some((src2, pos2)) =>
+              repickedAcc.add(1)
+              Iterator(
+                (st.srcs(t), (0, st.poss(t), i, t): Event),
+                (src2, (1, pos2, i, t): Event)
+              )
+            case None => Iterator.empty
+          }
         }
       }
     }
@@ -117,12 +120,13 @@ object SparkCorrection {
           val labels = st.labels.clone()
           val srcs = st.srcs.clone()
           val poss = st.poss.clone()
+          lazy val diff = Picks.diff(st.nbrs, nn, i)
           resp.foreach { case (t, lbl) =>
             // Recompute the (deterministic) decision to learn (src, pos).
-            val (src2, pos2) = Picks.repick(st.nbrs, nn, i, t, st.srcs(t), seed, epoch)
+            val (src2, pos2) = diff.repick(t, st.srcs(t), seed, epoch)
               .getOrElse(throw new IllegalStateException(s"lost repick at ($i,$t)"))
             srcs(t) = src2; poss(t) = pos2
-            if (labels(t) != lbl) { labels(t) = lbl; correctedAcc.add(1) }
+            labels(t) = lbl
           }
           (i, RVState(nn, labels, srcs, poss, newRecv))
         }
@@ -130,20 +134,17 @@ object SparkCorrection {
       preservesPartitioning = true
     ).persist(StorageLevel.MEMORY_AND_DISK)
 
-    // First-wave corrections as *source references* (tar, k, srcV, srcP):
-    // the receiver re-reads the source's current value at apply time, so
-    // out-of-order delivery across driver rounds cannot apply stale values.
-    val firstCorrections: RDD[(Long, Int, Long, Int)] = joined.flatMap {
+    // The labels the answers changed, as (i, t, before, after), each with
+    // its receivers in the maintained R.
+    val firstWave: RDD[(Long, Int, Long, Long, List[(Long, Int)])] = joined.flatMap {
       case (i, (sts, evsG, respG, _)) =>
         val st = sts.head
         val resp = respG.toSeq
         if (resp.isEmpty) Iterator.empty
         else {
           val newRecv = maintained(st.recv, evsG.iterator.flatten.toSeq)
-          resp.iterator.flatMap { case (t, lbl) =>
-            if (st.labels(t) != lbl) {
-              newRecv(t).iterator.map { case (tar, k) => (tar, k, i, t) }
-            } else Iterator.empty
+          resp.iterator.collect {
+            case (t, lbl) if st.labels(t) != lbl => (i, t, st.labels(t), lbl, newRecv(t))
           }
         }
     }
@@ -166,9 +167,18 @@ object SparkCorrection {
     import scala.collection.mutable
     val fetched = mutable.HashMap.empty[Long, (Array[Long], Array[List[(Long, Int)]])]
     val changed = mutable.HashMap.empty[Long, mutable.HashMap[Int, Long]]
-    // Corrections (tar, k, srcV, srcP) waiting for a vertex to be fetched.
+    // η: (value before the batch, current value) of every label changed
+    // by the answers or the cascade.
+    val eta = mutable.HashMap.empty[(Long, Int), (Long, Long)]
+    // Corrections (tar, k, srcV, srcP) waiting for a vertex to be fetched,
+    // as *source references*: the receiver re-reads the source's current
+    // value at apply time, so out-of-order delivery across driver rounds
+    // cannot apply stale values.
     var deferred = mutable.ArrayBuffer.empty[(Long, Int, Long, Int)]
-    deferred ++= firstCorrections.collect()
+    firstWave.collect().foreach { case (i, t, before, after, receivers) =>
+      eta((i, t)) = (before, after)
+      receivers.foreach { case (tar, k) => deferred += ((tar, k, i, t)) }
+    }
 
     def curVal(v: Long, p: Int): Long =
       changed.get(v).flatMap(_.get(p)).getOrElse(fetched(v)._1(p))
@@ -196,15 +206,19 @@ object SparkCorrection {
         if (!fetched.contains(tar) || !fetched.contains(srcV)) deferred += e
         else {
           val l = curVal(srcV, srcP)
-          if (curVal(tar, k) != l) {
+          val old = curVal(tar, k)
+          if (old != l) {
             changed.getOrElseUpdate(tar, mutable.HashMap.empty)(k) = l
-            correctedAcc.add(1)
+            eta((tar, k)) = (eta.get((tar, k)).fold(old)(_._1), l)
             fetched(tar)._2(k).foreach { case (t2, k2) => queue.enqueue((t2, k2, tar, k)) }
           }
         }
       }
       rounds += 1
     }
+    if (deferred.nonEmpty)
+      throw new IllegalStateException(
+        s"correction cascade did not converge: ${deferred.size} pending corrections after $rounds rounds")
 
     // Write back the changed label values (partition-preserving merge).
     val result =
@@ -231,6 +245,7 @@ object SparkCorrection {
     nadj.unpersist(blocking = false)
     evGrouped.unpersist(blocking = false)
     joined.unpersist(blocking = false)
-    (result, SparkUpdateStats(repickedAcc.value, correctedAcc.value, rounds))
+    val corrected = eta.valuesIterator.count { case (before, after) => before != after }
+    (result, SparkUpdateStats(repickedAcc.value, corrected.toLong, rounds))
   }
 }

@@ -7,11 +7,10 @@ import org.apache.spark.storage.StorageLevel
   *
   * The paper's post-processing finds communities as connected components of
   * the similarity-filtered graph, citing Chitnis et al. (ICDE 2013) for a
-  * MapReduce algorithm in O(log d) rounds. We implement the classic
-  * alternating large-star / small-star algorithm (Kiveris et al.) on Spark
-  * RDDs — each round is a Map + ReduceByKey, converging to the minimum
-  * vertex id of each component — plus a local union–find used by the local
-  * engine and as the test oracle for the distributed version.
+  * MapReduce algorithm in O(log d) rounds. We implement its Hash-to-Min
+  * on Spark RDDs — each round is a Map + ReduceByKey, converging to the
+  * minimum vertex id of each component — plus a local union–find used by
+  * the local engine and as the test oracle for the distributed version.
   */
 object ConnectedComponents {
 

@@ -27,21 +27,23 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) {
   def hasEdge(u: Int, v: Int): Boolean =
     u != v && java.util.Arrays.binarySearch(adj(u), v) >= 0
 
-  /** New graph with `deletions` removed and `insertions` added.
-    * Edits referencing non-existent state are ignored (idempotent).
+  /** New graph with `deletions` removed and `insertions` added; an edge
+    * both deleted and inserted is present. Edits referencing non-existent
+    * state are ignored (idempotent), and self-loop insertions are dropped.
+    * Only rows with an edited endpoint are rebuilt; the others are shared.
     */
   def edited(insertions: Seq[(Int, Int)], deletions: Seq[(Int, Int)]): LocalGraph = {
-    val del = deletions.iterator
-      .flatMap { case (u, v) => Seq((u, v), (v, u)) }
-      .toSet
-    val extra = insertions.iterator
-      .filter { case (u, v) => u != v }
-      .flatMap { case (u, v) => Seq((u, v), (v, u)) }
-      .toSet
-    val next = Array.tabulate(n) { u =>
-      val kept  = adj(u).iterator.filter(v => !del((u, v)))
-      val added = extra.iterator.collect { case (`u`, v) => v }
-      (kept ++ added).toArray.distinct.sorted
+    (insertions.iterator ++ deletions.iterator).foreach { case (u, v) => LocalGraph.checkRange(n, u, v) }
+    def byEndpoint(es: Seq[(Int, Int)]): Map[Int, Seq[Int]] =
+      es.flatMap { case (u, v) => Seq((u, v), (v, u)) }.groupMap(_._1)(_._2)
+    val ins = byEndpoint(insertions.filter { case (u, v) => u != v })
+    val del = byEndpoint(deletions).view.mapValues(_.toSet).toMap
+    val next = adj.clone()
+    for (u <- ins.keySet ++ del.keySet) {
+      val gone = del.getOrElse(u, Set.empty[Int])
+      val row = adj(u).filterNot(gone) ++ ins.getOrElse(u, Nil)
+      java.util.Arrays.sort(row)
+      next(u) = row.distinct
     }
     new LocalGraph(n, next)
   }
@@ -53,9 +55,12 @@ object LocalGraph {
   def fromEdges(n: Int, edges: Iterable[(Int, Int)]): LocalGraph = {
     val sets = Array.fill(n)(mutable.SortedSet.empty[Int])
     edges.foreach { case (u, v) =>
-      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range [0,$n)")
+      checkRange(n, u, v)
       if (u != v) { sets(u) += v; sets(v) += u }
     }
     new LocalGraph(n, sets.map(_.toArray))
   }
+
+  private def checkRange(n: Int, u: Int, v: Int): Unit =
+    require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range [0,$n)")
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.util.{Rng, SplitMix64}
 
 /** Unit tests for the canonical random decisions, including empirical
   * verification of the paper's Theorems 2–5.
@@ -137,5 +138,73 @@ class PicksSpec extends AnyFunSuite {
     val d1 = (0 until 100).map(s => Picks.repick(oldAdj, newAdj, 0L, 9, 2L, s, epoch = 1))
     val d2 = (0 until 100).map(s => Picks.repick(oldAdj, newAdj, 0L, 9, 2L, s, epoch = 2))
     assert(d1 != d2)
+  }
+
+  /** The per-(vertex, t) decision as first written, from hash sets rebuilt
+    * on every call: the oracle the per-vertex diff is checked against.
+    */
+  private def oracleRepick(oldAdj: Array[Long], newAdj: Array[Long], vid: Long, t: Int,
+                           curSrc: Long, seed: Long, epoch: Long): Option[(Long, Int)] = {
+    if (java.util.Arrays.equals(oldAdj, newAdj)) return None
+    val oldSet = oldAdj.toSet
+    val newSet = newAdj.toSet
+    val added = newAdj.filterNot(oldSet)
+    val rng = Rng.forVertex(seed ^ (epoch * 0x9e3779b97f4a7c15L), vid, t, Rng.SaltRepick)
+
+    def fresh(candidates: Array[Long]): Option[(Long, Int)] =
+      if (candidates.isEmpty) Some((vid, 0))
+      else Some((candidates(rng.nextInt(candidates.length)), rng.nextInt(t)))
+
+    if (curSrc == vid && oldAdj.isEmpty) {
+      if (newAdj.isEmpty) None else fresh(newAdj)
+    } else if (!newSet.contains(curSrc)) {
+      fresh(newAdj)
+    } else if (added.isEmpty) {
+      None
+    } else {
+      val nU = newAdj.count(oldSet)
+      if (rng.nextDouble() < nU.toDouble / (nU + added.length)) None
+      else fresh(added)
+    }
+  }
+
+  /** Sorted distinct subset of `pool`, each element kept w.p. `keep`. */
+  private def subset(pool: Seq[Long], keep: Double, rng: SplitMix64): Array[Long] =
+    pool.filter(_ => rng.nextDouble() < keep).toArray
+
+  test("diff kernel makes the oracle's decision for random adjacency pairs") {
+    val vid = 50L
+    val pool = (0L until 40L).filter(_ != vid)
+    // (kind, oldAdj, newAdj): every way a neighborhood can change.
+    def cases(rng: SplitMix64): Seq[(String, Array[Long], Array[Long])] = {
+      val a = subset(pool, 0.5, rng)
+      val lost = a.filter(_ => rng.nextDouble() < 0.4)
+      val gained = subset(pool.filterNot(a.contains), 0.3, rng)
+      Seq(
+        ("empty old", Array.empty[Long], a),
+        ("empty new", a, Array.empty[Long]),
+        ("only losses", a, a.filterNot(lost.contains)),
+        ("only gains", a, (a ++ gained).sorted),
+        ("losses and gains", a, (a.filterNot(lost.contains) ++ gained).sorted),
+        ("unchanged", a, a.clone())
+      )
+    }
+    val kinds = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    for (s <- 0 until 300; (kind, oldAdj, newAdj) <- cases(Rng.forItem(s, 0L, Rng.SaltGen))) {
+      val diff = Picks.diff(oldAdj, newAdj, vid)
+      // Sources: every old neighbor (deleted or kept) and the self-pick.
+      for (curSrc <- oldAdj :+ vid; t <- 1 to 6; epoch <- 1L to 2L) {
+        val want = oracleRepick(oldAdj, newAdj, vid, t, curSrc, seed = s, epoch)
+        assert(diff.repick(t, curSrc, s, epoch) == want,
+          s"$kind: old=${oldAdj.toSeq} new=${newAdj.toSeq} t=$t src=$curSrc")
+        assert(Picks.repick(oldAdj, newAdj, vid, t, curSrc, s, epoch) == want)
+        kinds(kind) += 1
+        if (curSrc == vid) kinds("curSrc == vid") += 1
+        else if (!newAdj.contains(curSrc)) kinds("source deleted") += 1
+      }
+    }
+    for (k <- Seq("empty old", "empty new", "only losses", "only gains", "losses and gains", "unchanged",
+                  "source deleted", "curSrc == vid"))
+      assert(kinds(k) > 0, s"no case of kind '$k': $kinds")
   }
 }

@@ -80,4 +80,29 @@ class SparkCorrectionSpec extends AnyFunSuite with SparkSpec {
     val errs = st.checkInvariants(g1.adj)
     assert(errs.isEmpty, errs.take(5).mkString("; "))
   }
+
+  private def changedLabels(before: Array[Array[Long]], after: Array[Array[Long]]): Long =
+    before.indices.map(i => before(i).indices.count(t => before(i)(t) != after(i)(t)).toLong).sum
+
+  test("chained batches: spark matches local after each, and both count the same eta") {
+    val sc = spark.sparkContext
+    val T = 10; val seed = 37L
+    var g = GraphGen.webGraphLocal(7, 300, seed = 12)._2
+    val local = LocalRSLPA.propagate(g, T, seed)
+    var dist = SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g), T, seed)
+    for (epoch <- 1 to 3) {
+      val batch = EditBatch.halfAndHalf(g, 40, seed = 200 + epoch)
+      val g1 = g.edited(batch.insertions, batch.deletions)
+      val before = local.labels.map(_.clone())
+      val localStats = LocalIncremental.update(g, g1, local, seed, epoch)
+      val (dist1, distStats) = SparkCorrection.update(dist, GraphOps.adjacencyRDD(sc, g1), T, seed, epoch)
+      val collected = dist1.collect().toMap
+      assertMatches(local, collected)
+      val eta = changedLabels(before, local.labels)
+      assert(eta > 0, s"batch $epoch changed no label")
+      assert(localStats.corrected == eta, s"local corrected at batch $epoch")
+      assert(distStats.corrected == eta, s"spark corrected at batch $epoch")
+      g = g1; dist = dist1
+    }
+  }
 }

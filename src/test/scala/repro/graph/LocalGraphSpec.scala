@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.util.Rng
 
 class LocalGraphSpec extends AnyFunSuite {
 
@@ -82,5 +83,42 @@ class LocalGraphSpec extends AnyFunSuite {
     val g2 = triangle.edited(Seq((0, 3)), Seq((1, 2)))
     val g3 = g2.edited(Seq((1, 2)), Seq((0, 3)))
     assert(g3.edges == triangle.edges)
+  }
+
+  test("edited rejects out-of-range vertex ids") {
+    intercept[IllegalArgumentException](triangle.edited(Seq((0, 9)), Nil))
+    intercept[IllegalArgumentException](triangle.edited(Nil, Seq((-1, 2))))
+  }
+
+  test("edited: duplicate edits act once") {
+    val g = triangle.edited(Seq((0, 3), (3, 0), (0, 3)), Seq((1, 2), (2, 1)))
+    assert(g.adj(0).toSeq == Seq(1, 2, 3) && g.adj(3).toSeq == Seq(0))
+    assert(g.edges == Seq((0, 1), (0, 2), (0, 3)))
+  }
+
+  test("edited: deleting a missing edge is a no-op") {
+    val g = triangle.edited(Nil, Seq((0, 3), (2, 2)))
+    assert(g.edges == triangle.edges)
+  }
+
+  test("edited: a pair deleted and inserted in one batch is present") {
+    val g = triangle.edited(Seq((0, 1), (1, 3)), Seq((0, 1), (1, 3)))
+    assert(g.edges == Seq((0, 1), (0, 2), (1, 2), (1, 3)))
+  }
+
+  test("edited equals fromEdges on the edited edge list for random batches") {
+    val n = 30
+    for (s <- 0 until 20) {
+      val rng = Rng.forItem(s, 0L, Rng.SaltGen)
+      def pairs(k: Int) = Seq.fill(k)((rng.nextInt(n), rng.nextInt(n)))
+      val g = LocalGraph.fromEdges(n, pairs(60))
+      // Deletions mix existing edges and absent pairs; insertions may repeat
+      // existing edges, deleted pairs and self-loops.
+      val del = g.edges.filter(_ => rng.nextDouble() < 0.3) ++ pairs(10)
+      val ins = pairs(20) ++ del.take(3) ++ g.edges.take(3)
+      val want = (g.edges.toSet -- del.flatMap { case (u, v) => Seq((u, v), (v, u)) }) ++ ins
+      val got = g.edited(ins, del).adj.map(_.toSeq).toSeq
+      assert(got == LocalGraph.fromEdges(n, want).adj.map(_.toSeq).toSeq, s"seed $s")
+    }
   }
 }
