@@ -30,7 +30,12 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) {
   /** New graph with `deletions` removed and `insertions` added; an edge
     * both deleted and inserted is present. Edits referencing non-existent
     * state are ignored (idempotent), and self-loop insertions are dropped.
-    * Only rows with an edited endpoint are rebuilt; the others are shared.
+    * Only rows with an edited endpoint are re-sorted; the others are
+    * copied, so that every row of the new graph is allocated in vertex
+    * order. Sharing them instead scatters a long-edited graph's rows
+    * across the heap, and every later pass over all rows (a scratch
+    * propagation) slows as the graph is edited: by a quarter over 8,000
+    * edits of a 10K-vertex, 140K-edge graph (4-core x86 VM, JDK 17).
     */
   def edited(insertions: Seq[(Int, Int)], deletions: Seq[(Int, Int)]): LocalGraph = {
     (insertions.iterator ++ deletions.iterator).foreach { case (u, v) => LocalGraph.checkRange(n, u, v) }
@@ -38,12 +43,13 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) {
       es.flatMap { case (u, v) => Seq((u, v), (v, u)) }.groupMap(_._1)(_._2)
     val ins = byEndpoint(insertions.filter { case (u, v) => u != v })
     val del = byEndpoint(deletions).view.mapValues(_.toSet).toMap
-    val next = adj.clone()
-    for (u <- ins.keySet ++ del.keySet) {
-      val gone = del.getOrElse(u, Set.empty[Int])
-      val row = adj(u).filterNot(gone) ++ ins.getOrElse(u, Nil)
-      java.util.Arrays.sort(row)
-      next(u) = row.distinct
+    val next = Array.tabulate(n) { u =>
+      if (!ins.contains(u) && !del.contains(u)) adj(u).clone()
+      else {
+        val row = adj(u).filterNot(del.getOrElse(u, Set.empty[Int])) ++ ins.getOrElse(u, Nil)
+        java.util.Arrays.sort(row)
+        row.distinct
+      }
     }
     new LocalGraph(n, next)
   }
