@@ -74,8 +74,6 @@ object LocalRSLPA {
   /** Full pipeline: propagate then extract communities via the paper's
     * similarity post-processing (§III-B).
     */
-  def detect(g: LocalGraph, T: Int, seed: Long,
-             tau1Step: Double = 0.0): Vector[Set[Int]] = {
-    PostProcess.extract(g, propagateLabelsOnly(g, T, seed), tau1Step)
-  }
+  def detect(g: LocalGraph, T: Int, seed: Long): Vector[Set[Int]] =
+    PostProcess.extract(g, propagateLabelsOnly(g, T, seed))
 }

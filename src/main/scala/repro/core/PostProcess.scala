@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.{ConnectedComponents, LocalGraph}
-import repro.metrics.SizeEntropy
 
 import scala.collection.mutable
 
@@ -11,51 +10,43 @@ import scala.collection.mutable
   * on a *distribution* of labels rather than a single winner. Communities
   * are therefore extracted by:
   *  1. weighting every edge by w_ij = P(l_i = l_j) — the probability a
-  *     uniform draw from L_i equals a uniform draw from L_j;
+  *     uniform draw from L_i equals a uniform draw from L_j — by one merge
+  *     of the two memories' sorted histograms ([[PostKernel.weight]]);
   *  2. τ2 = min_i max_j w_ij (Eq. 2, "no isolated vertex" principle);
   *  3. τ1 ∈ [τ2, max w] maximizing the size entropy of the connected
-  *     components of the τ1-filtered graph (Eq. 1, "maximize information");
+  *     components of the τ1-filtered graph (Eq. 1, "maximize information"),
+  *     over a 60-step grid in one union–find sweep ([[PostKernel.chooseTau1]]);
   *  4. communities = components with ≥ 2 vertices; an isolated vertex
   *     joins the community of every non-isolated neighbor with w ≥ τ2 —
   *     the mechanism that produces *overlap*.
+  * The Spark engine ([[SparkPostProcess]]) calls the same kernels.
   */
 object PostProcess {
 
-  /** Per-vertex label histogram. */
-  def labelCounts(mem: Array[Long]): mutable.HashMap[Long, Int] = {
-    val m = mutable.HashMap.empty[Long, Int]
-    var i = 0
-    while (i < mem.length) { m.update(mem(i), m.getOrElse(mem(i), 0) + 1); i += 1 }
-    m
-  }
-
   /** Similarity of two memories: P(uniform draw from a == uniform draw from b). */
-  def similarity(a: Array[Long], b: Array[Long]): Double = {
-    val (small, large) =
-      if (a.length <= b.length) (labelCounts(a), labelCounts(b))
-      else (labelCounts(b), labelCounts(a))
-    var s = 0L
-    small.foreach { case (l, c) => s += c.toLong * large.getOrElse(l, 0) }
-    s.toDouble / (a.length.toLong * b.length)
-  }
+  def similarity(a: Array[Long], b: Array[Long]): Double =
+    PostKernel.matches(PostKernel.labelCounts(a), PostKernel.labelCounts(b)).toDouble /
+      (a.length.toLong * b.length)
 
-  /** Weight of every edge of `g` (canonical u < v keys). */
-  def edgeWeights(g: LocalGraph, labels: Array[Array[Long]]): Map[(Int, Int), Double] = {
-    val counts = Array.tabulate(g.n)(i => labelCounts(labels(i)))
-    val len = labels.headOption.map(_.length.toLong).getOrElse(1L)
-    g.edges.iterator.map { case (u, v) =>
-      var s = 0L
-      val (small, large) =
-        if (counts(u).size <= counts(v).size) (counts(u), counts(v)) else (counts(v), counts(u))
-      small.foreach { case (l, c) => s += c.toLong * large.getOrElse(l, 0) }
-      (u, v) -> s.toDouble / (len * len)
-    }.toMap
+  /** Weight of every edge of `g`, in the order of `g.edges` (u < v). */
+  def edgeWeights(g: LocalGraph, labels: Array[Array[Long]]): EdgeWeights = {
+    val counts = labels.map(PostKernel.labelCounts)
+    val memLen = labels.headOption.map(_.length).getOrElse(1)
+    val m = g.numEdges.toInt
+    val us = new Array[Int](m); val vs = new Array[Int](m); val ws = new Array[Double](m)
+    var k = 0
+    for (u <- 0 until g.n; v <- g.adj(u) if v > u) {
+      us(k) = u; vs(k) = v; ws(k) = PostKernel.weight(counts(u), counts(v), memLen)
+      k += 1
+    }
+    new EdgeWeights(us, vs, ws)
   }
 
   /** τ2 = min over non-isolated vertices of the max incident weight (Eq. 2). */
-  def chooseTau2(g: LocalGraph, w: Map[(Int, Int), Double]): Double = {
+  def chooseTau2(g: LocalGraph, w: EdgeWeights): Double = {
     val best = Array.fill(g.n)(Double.NaN)
-    w.foreach { case ((u, v), x) =>
+    for (k <- 0 until w.size) {
+      val u = w.u(k); val v = w.v(k); val x = w.w(k)
       if (best(u).isNaN || x > best(u)) best(u) = x
       if (best(v).isNaN || x > best(v)) best(v) = x
     }
@@ -64,8 +55,8 @@ object PostProcess {
   }
 
   /** Components (≥ 2 vertices) of the graph restricted to edges with w ≥ τ1. */
-  def componentsAt(g: LocalGraph, w: Map[(Int, Int), Double], tau1: Double): Vector[Set[Int]] = {
-    val kept = w.iterator.collect { case (e, x) if x >= tau1 => e }.toSeq
+  def componentsAt(g: LocalGraph, w: EdgeWeights, tau1: Double): Vector[Set[Int]] = {
+    val kept = (0 until w.size).collect { case k if w.w(k) >= tau1 => (w.u(k), w.v(k)) }
     val comp = ConnectedComponents.local(g.n, kept)
     comp.zipWithIndex
       .groupBy(_._1).valuesIterator
@@ -74,48 +65,31 @@ object PostProcess {
       .toVector
   }
 
-  /** τ1 = argmax of community-size entropy over a grid in [τ2, max w]
-    * (Eq. 1). The paper enumerates with a small fixed interval (0.001);
-    * our memories are longer (T+1 = 201 labels), which compresses all
-    * weights into a narrow band near 0, so a fixed absolute step would
-    * skip the whole range — `step <= 0` (the default) selects an adaptive
-    * step of 1/60 of the weight range instead.
+  /** τ1 = argmax of community-size entropy over a 60-step grid in
+    * [τ2, max w] (Eq. 1), see [[PostKernel.chooseTau1]].
     */
-  def chooseTau1(g: LocalGraph, w: Map[(Int, Int), Double], tau2: Double,
-                 step: Double = 0.0): Double = {
-    if (w.isEmpty) return tau2
-    val maxW = w.values.max
-    val eff = if (step > 0) step else math.max((maxW - tau2) / 60, 1e-9)
-    var best = tau2; var bestEnt = -1.0
-    var tau = tau2
-    while (tau <= maxW + 1e-12) {
-      val ent = SizeEntropy.of(componentsAt(g, w, tau).map(_.size), g.n)
-      if (ent > bestEnt + 1e-12) { bestEnt = ent; best = tau }
-      tau += eff
-    }
-    best
-  }
+  def chooseTau1(g: LocalGraph, w: EdgeWeights, tau2: Double): Double =
+    PostKernel.chooseTau1(g.n, w, tau2)
 
   /** Steps 3–4 for *given* thresholds. */
-  def extractAt(g: LocalGraph, w: Map[(Int, Int), Double],
-                tau1: Double, tau2: Double): Vector[Set[Int]] = {
+  def extractAt(g: LocalGraph, w: EdgeWeights, tau1: Double, tau2: Double): Vector[Set[Int]] = {
     val comms = componentsAt(g, w, tau1)
     val inComm = Array.fill(g.n)(-1)
     comms.zipWithIndex.foreach { case (c, ci) => c.foreach(v => inComm(v) = ci) }
     val extra = Array.fill(comms.size)(mutable.HashSet.empty[Int])
-    for (i <- 0 until g.n if inComm(i) < 0; j <- g.adj(i) if inComm(j) >= 0) {
-      val e = (math.min(i, j), math.max(i, j))
-      if (w.getOrElse(e, 0.0) >= tau2) extra(inComm(j)) += i
+    for (k <- 0 until w.size if w.w(k) >= tau2) {
+      val u = w.u(k); val v = w.v(k)
+      if (inComm(u) < 0 && inComm(v) >= 0) extra(inComm(v)) += u
+      if (inComm(v) < 0 && inComm(u) >= 0) extra(inComm(u)) += v
     }
     comms.zipWithIndex.map { case (c, ci) => c ++ extra(ci) }
   }
 
   /** The complete §III-B pipeline on a finished label propagation. */
-  def extract(g: LocalGraph, labels: Array[Array[Long]],
-              tau1Step: Double = 0.0): Vector[Set[Int]] = {
+  def extract(g: LocalGraph, labels: Array[Array[Long]]): Vector[Set[Int]] = {
     val w = edgeWeights(g, labels)
     val tau2 = chooseTau2(g, w)
-    val tau1 = chooseTau1(g, w, tau2, tau1Step)
+    val tau1 = chooseTau1(g, w, tau2)
     extractAt(g, w, tau1, tau2)
   }
 }

@@ -1,18 +1,17 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.graph.ConnectedComponents
-import repro.metrics.SizeEntropy
 
 /** Distributed rSLPA post-processing (§III-B): edge similarity weights,
   * threshold selection (Eqs. 1–2) and community extraction via connected
   * components with weight filtering — "we slightly change the existing
   * algorithm of finding connected components by adding filtering on edge
   * weights" (§V-B2): the τ1 filter is applied inline, never materializing
-  * the filtered graph.
+  * the filtered graph. Weights and the τ1 search call the same kernels as
+  * the local engine ([[PostKernel]]), so both engines choose bit-identical
+  * thresholds from the same labels.
   */
 object SparkPostProcess {
 
@@ -22,37 +21,17 @@ object SparkPostProcess {
   final case class SparkCover(assignments: RDD[(Long, Long)], tau1: Double, tau2: Double)
 
   /** w_uv = P(uniform draw from L_u = uniform draw from L_v) for every
-    * canonical (u < v) edge. `memLen` is the memory length (T + 1).
+    * canonical (u < v) edge. `memLen` is the memory length (T + 1). Each
+    * memory is shipped as its sorted histogram ([[PostKernel.labelCounts]]).
     */
   def edgeWeights(labels: RDD[(Long, Array[Long])], edges: RDD[(Long, Long)],
                   memLen: Int): RDD[((Long, Long), Double)] = {
-    val counts = labels.mapValues(m => m.groupBy(identity).map { case (l, a) => (l, a.length) })
-    val denom = memLen.toDouble * memLen
+    val counts = labels.mapValues(PostKernel.labelCounts)
     edges
-      .map { case (u, v) => (u, v) }
       .join(counts)
       .map { case (u, (v, cu)) => (v, (u, cu)) }
       .join(counts)
-      .map { case (v, ((u, cu), cv)) =>
-        val (small, large) = if (cu.size <= cv.size) (cu, cv) else (cv, cu)
-        var s = 0L
-        small.foreach { case (l, c) => s += c.toLong * large.getOrElse(l, 0) }
-        ((u, v), s / denom)
-      }
-  }
-
-  /** DataFrame formulation of [[edgeWeights]] — relational, so the tests
-    * check it against DuckDB via the Oracle. `labelsDF(vid, label)` is the
-    * exploded memory (one row per memory slot); `edgesDF(u, v)` canonical.
-    */
-  def edgeWeightsDF(labelsDF: DataFrame, edgesDF: DataFrame, memLen: Int): DataFrame = {
-    val counts = labelsDF.groupBy("vid", "label").agg(count(lit(1)).as("cnt"))
-    val cu = counts.select(col("vid").as("u"), col("label"), col("cnt").as("cu"))
-    val cv = counts.select(col("vid").as("v"), col("label"), col("cnt").as("cv"))
-    edgesDF
-      .join(cu, "u").join(cv, Seq("v", "label"))
-      .groupBy("u", "v")
-      .agg((sum(col("cu") * col("cv")) / (memLen.toLong * memLen)).as("w"))
+      .map { case (v, ((u, cu), cv)) => ((u, v), PostKernel.weight(cu, cv, memLen)) }
   }
 
   /** τ2 = min over non-isolated vertices of the max incident weight (Eq. 2). */
@@ -66,46 +45,36 @@ object SparkPostProcess {
   private def componentsAt(w: RDD[((Long, Long), Double)], tau1: Double): RDD[(Long, Long)] =
     ConnectedComponents.spark(w.collect { case ((u, v), x) if x >= tau1 => (u, v) })
 
-  /** Communities (component id → size) of the τ1-filtered graph, keeping
-    * components with at least two vertices.
+  /** τ1 = argmax of size entropy over the local engine's grid in [τ2, max w]
+    * (Eq. 1), on vertices `[0, n)`. One job: every partition of `w` (persist
+    * it) sends the driver its maximum spanning forest, at most n − 1 edges,
+    * which connects at every threshold what the partition's edges connect
+    * (Kruskal filtering, Lattanzi et al., SPAA 2011); the driver then runs
+    * [[PostKernel.chooseTau1]] over the union of the forests.
     */
-  def communitySizesAt(w: RDD[((Long, Long), Double)], tau1: Double): Map[Long, Int] =
-    componentsAt(w, tau1)
-      .map { case (_, c) => (c, 1) }
-      .reduceByKey(_ + _)
-      .filter(_._2 >= 2)
-      .collect().toMap
-
-  /** τ1 = argmax of size entropy over `nCandidates` grid points in
-    * [τ2, max w] (Eq. 1; the paper enumerates with small intervals — the
-    * grid is coarser here because each probe is a distributed CC run).
-    */
-  def chooseTau1(w: RDD[((Long, Long), Double)], tau2: Double, n: Long,
-                 nCandidates: Int = 8): Double = {
-    val maxW = w.values.max()
-    if (maxW <= tau2) return tau2
-    val step = (maxW - tau2) / nCandidates
-    var best = tau2; var bestEnt = -1.0
-    var tau = tau2
-    while (tau <= maxW + 1e-12) {
-      val ent = SizeEntropy.of(communitySizesAt(w, tau).values.toSeq, n.toInt)
-      if (ent > bestEnt + 1e-12) { bestEnt = ent; best = tau }
-      tau += step
-    }
-    best
+  def chooseTau1(w: RDD[((Long, Long), Double)], tau2: Double, n: Long): Double = {
+    val nv = n.toInt
+    val forests = w.mapPartitions { it =>
+      val es = it.toArray
+      val f = PostKernel.spanningForest(nv,
+        new EdgeWeights(es.map(_._1._1.toInt), es.map(_._1._2.toInt), es.map(_._2)))
+      Iterator((f.u, f.v, f.w))
+    }.collect()
+    PostKernel.chooseTau1(nv,
+      new EdgeWeights(forests.flatMap(_._1), forests.flatMap(_._2), forests.flatMap(_._3)), tau2)
   }
 
   /** Full extraction: components at τ1 are communities; an isolated vertex
     * joins the community of every non-isolated neighbor with w ≥ τ2.
     */
   def extract(labels: RDD[(Long, Array[Long])], edges: RDD[(Long, Long)],
-              memLen: Int, nCandidates: Int = 8): SparkCover = {
+              memLen: Int): SparkCover = {
     val w = edgeWeights(labels, edges, memLen).persist(StorageLevel.MEMORY_AND_DISK)
     if (w.count() == 0)
       return SparkCover(labels.sparkContext.emptyRDD[(Long, Long)], 0.0, 0.0)
     val n = labels.count()
     val tau2 = chooseTau2(w)
-    val tau1 = chooseTau1(w, tau2, n, nCandidates)
+    val tau1 = chooseTau1(w, tau2, n)
 
     val comp = componentsAt(w, tau1).persist(StorageLevel.MEMORY_AND_DISK)
     val sizes = comp.map { case (_, c) => (c, 1) }.reduceByKey(_ + _)

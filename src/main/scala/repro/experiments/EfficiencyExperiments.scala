@@ -29,8 +29,7 @@ object EfficiencyExperiments {
   /** Fig. 8 — static running time: label propagation and post-processing
     * for SLPA (T iterations) and rSLPA (2T iterations).
     */
-  def figure8(spark: SparkSession, g: LocalGraph, slpaT: Int, seed: Long,
-              tau1Candidates: Int = 6): Seq[Figure8Row] = {
+  def figure8(spark: SparkSession, g: LocalGraph, slpaT: Int, seed: Long): Seq[Figure8Row] = {
     val sc = spark.sparkContext
     val rslpaT = 2 * slpaT
 
@@ -51,11 +50,11 @@ object EfficiencyExperiments {
       val st = SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g), rslpaT, seed + 1)
       st.count(); st
     }
-    // rSLPA post-processing: edge weights + τ selection + CC runs — the
+    // rSLPA post-processing: edge weights + τ selection + a CC run — the
     // expensive part, as the paper observes.
     val (_, rPost) = timed {
       SparkPostProcess.extract(rState.mapValues(_.labels), GraphOps.edgesRDD(sc, g),
-        rslpaT + 1, tau1Candidates).assignments.count()
+        rslpaT + 1).assignments.count()
     }
 
     Seq(

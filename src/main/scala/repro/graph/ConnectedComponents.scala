@@ -9,8 +9,11 @@ import org.apache.spark.storage.StorageLevel
   * the similarity-filtered graph, citing Chitnis et al. (ICDE 2013) for a
   * MapReduce algorithm in O(log d) rounds. We implement its Hash-to-Min
   * on Spark RDDs — each round is a Map + ReduceByKey, converging to the
-  * minimum vertex id of each component — plus a local union–find used by
-  * the local engine and as the test oracle for the distributed version.
+  * minimum vertex id of each component — for the Spark engine's
+  * extraction at the chosen τ1, plus a local union–find used by the local
+  * engine and as the test oracle for the distributed version. The τ1
+  * search itself needs no CC runs: it sweeps a [[UnionFind]] once
+  * (`repro.core.PostKernel`).
   */
 object ConnectedComponents {
 
@@ -18,20 +21,11 @@ object ConnectedComponents {
     * (minimum id in the component).
     */
   def local(n: Int, edges: Iterable[(Int, Int)]): Array[Int] = {
-    val parent = Array.tabulate(n)(identity)
-    def find(x0: Int): Int = {
-      var x = x0
-      while (parent(x) != x) { parent(x) = parent(parent(x)); x = parent(x) }
-      x
-    }
-    edges.foreach { case (u, v) =>
-      val ru = find(u); val rv = find(v)
-      if (ru != rv) { if (ru < rv) parent(rv) = ru else parent(ru) = rv }
-    }
-    // Normalize to the minimum id per component.
-    val repMin = scala.collection.mutable.HashMap.empty[Int, Int]
-    (0 until n).foreach { v => val r = find(v); repMin(r) = math.min(repMin.getOrElse(r, v), v) }
-    Array.tabulate(n)(v => repMin(find(v)))
+    val uf = new UnionFind(n)
+    edges.foreach { case (u, v) => uf.union(u, v) }
+    val minOf = Array.fill(n)(Int.MaxValue)
+    (0 until n).foreach { v => val r = uf.find(v); minOf(r) = math.min(minOf(r), v) }
+    Array.tabulate(n)(v => minOf(uf.find(v)))
   }
 
   /** Distributed CC via Hash-to-Min (the algorithm of the paper's
@@ -42,9 +36,10 @@ object ConnectedComponents {
     * `min(C_v)` is the component minimum for every vertex.
     *
     * Returns `(vertex, componentMinId)` for every vertex appearing in
-    * `edges`.
+    * `edges`. Throws `IllegalStateException` if clusters still change after
+    * `maxRounds` rounds.
     */
-  def spark(edges: RDD[(Long, Long)]): RDD[(Long, Long)] = {
+  def spark(edges: RDD[(Long, Long)], maxRounds: Int = 64): RDD[(Long, Long)] = {
     var clusters: RDD[(Long, Set[Long])] = edges
       .flatMap { case (u, v) => Iterator((u, Set(u, v)), (v, Set(u, v))) }
       .reduceByKey(_ ++ _)
@@ -52,7 +47,6 @@ object ConnectedComponents {
 
     var changed = 1L
     var round = 0
-    val maxRounds = 64
     while (changed > 0 && round < maxRounds) {
       val next = clusters
         .flatMap { case (v, c) =>
@@ -66,6 +60,9 @@ object ConnectedComponents {
       clusters = next
       round += 1
     }
+    if (changed > 0)
+      throw new IllegalStateException(
+        s"Hash-to-Min did not converge: $changed clusters still changing after $round rounds")
     // Note: the final `clusters` stays persisted as the parent of the
     // returned labels; callers materialize and drop it with the GC.
     clusters.mapValues(_.min)

@@ -13,4 +13,22 @@ object SizeEntropy {
       -p * math.log(p)
     }.sum
   }
+
+  /** Entropy of the communities of at least two vertices, given
+    * `bySize(s)` = the number of communities of size `s`; summed in
+    * ascending size order.
+    */
+  def ofSizeCounts(bySize: Array[Int], n: Int): Double = {
+    require(n > 0)
+    var e = 0.0
+    var s = 2
+    while (s < bySize.length) {
+      if (bySize(s) > 0) {
+        val p = s.toDouble / n
+        e += bySize(s) * (-p * math.log(p))
+      }
+      s += 1
+    }
+    e
+  }
 }

@@ -53,7 +53,7 @@ class EndToEndSpec extends AnyFunSuite with SparkSpec {
     val (st1, stats) = SparkCorrection.update(st0, GraphOps.adjacencyRDD(sc, g1), T, 86, 1)
     assert(stats.repicked > 0)
     val cover = SparkPostProcess.extract(
-      st1.mapValues(_.labels), GraphOps.edgesRDD(sc, g1), T + 1, nCandidates = 5)
+      st1.mapValues(_.labels), GraphOps.edgesRDD(sc, g1), T + 1)
     val communities = cover.assignments.collect().groupBy(_._2)
     assert(communities.nonEmpty, "expected at least one community")
     assert(communities.values.forall(_.length >= 2))

@@ -16,7 +16,7 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
   test("spark edge weights match the local computation") {
     val dist = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), memLen = 13)
       .collect().toMap
-    val local = PostProcess.edgeWeights(g, localSt.labels)
+    val local = PostProcess.edgeWeights(g, localSt.labels).toMap
     assert(dist.size == local.size)
     local.foreach { case ((u, v), w) =>
       assert(math.abs(dist((u.toLong, v.toLong)) - w) < 1e-12, s"weight differs at ($u,$v)")
@@ -30,7 +30,9 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     } yield (i.toLong, l)
     val labelsDF = labelRows.toDF("vid", "label")
     val edgesDF = g.edges.map { case (u, v) => (u.toLong, v.toLong) }.toDF("u", "v")
-    val got = SparkPostProcess.edgeWeightsDF(labelsDF, edgesDF, memLen = 13)
+    val got = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), memLen = 13)
+      .map { case ((u, v), w) => (u, v, w) }
+      .toDF("u", "v", "w")
     Oracle.assertEquivalent(
       got,
       """SELECT e.u AS u, e.v AS v,
@@ -51,24 +53,29 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     assert(math.abs(SparkPostProcess.chooseTau2(w) - PostProcess.chooseTau2(g, localW)) < 1e-12)
   }
 
-  test("spark community sizes at a threshold match local components") {
-    val w = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
-    val localW = PostProcess.edgeWeights(g, localSt.labels)
-    val tau = PostProcess.chooseTau2(g, localW).max(0.05)
-    val distSizes = SparkPostProcess.communitySizesAt(w, tau).values.toSeq.sorted
-    val localSizes = PostProcess.componentsAt(g, localW, tau).map(_.size).sorted
-    assert(distSizes == localSizes)
-  }
-
   test("spark extract yields a cover consistent with local extractAt") {
-    val w = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
-    val cover = SparkPostProcess.extract(labelsRDD, GraphOps.edgesRDD(sc, g), 13, nCandidates = 6)
+    val cover = SparkPostProcess.extract(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
     val localW = PostProcess.edgeWeights(g, localSt.labels)
     val localCover = PostProcess.extractAt(g, localW, cover.tau1, cover.tau2)
     val distCover = cover.assignments.collect()
       .groupBy(_._2).values.map(_.map(_._1.toInt).toSet).toSet
     assert(distCover == localCover.toSet,
       s"covers differ: dist=${distCover.size} local=${localCover.size} communities")
+    // Both engines choose the same thresholds, so the covers are equal outright.
+    val tau2 = PostProcess.chooseTau2(g, localW)
+    assert(cover.tau2 == tau2 && cover.tau1 == PostProcess.chooseTau1(g, localW, tau2))
+    assert(distCover == PostProcess.extract(g, localSt.labels).toSet)
+  }
+
+  for (parts <- Seq(1, 3, 8)) {
+    test(s"spark tau1 from partition forests equals the local sweep (parts=$parts)") {
+      val w = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
+        .repartition(parts).persist()
+      val localW = PostProcess.edgeWeights(g, localSt.labels)
+      val tau2 = PostProcess.chooseTau2(g, localW)
+      assert(SparkPostProcess.chooseTau1(w, tau2, g.n) == PostProcess.chooseTau1(g, localW, tau2))
+      w.unpersist()
+    }
   }
 
   test("extract on a graph with no edges returns an empty cover") {

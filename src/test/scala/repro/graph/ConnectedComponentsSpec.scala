@@ -88,6 +88,14 @@ class ConnectedComponentsSpec extends AnyFunSuite with SparkSpec {
     assert(got(10L) == 10L && got(12L) == 10L)
   }
 
+  test("spark CC throws when it hits its round cap") {
+    val edges = (0L until 63L).map(i => (i, i + 1))
+    val e = intercept[IllegalStateException] {
+      ConnectedComponents.spark(spark.sparkContext.parallelize(edges), maxRounds = 2)
+    }
+    assert(e.getMessage.contains("after 2 rounds"), e.getMessage)
+  }
+
   test("spark CC handles a long path (log-round convergence)") {
     val edges = (0L until 63L).map(i => (i, i + 1))
     val got = ConnectedComponents.spark(spark.sparkContext.parallelize(edges)).collect().toMap
