@@ -6,29 +6,13 @@ import repro.metrics.SizeEntropy
 /** A label memory as its histogram: the distinct labels in ascending order
   * and how often each occurs.
   */
-final class LabelCounts(val labels: Array[Long], val counts: Array[Int]) extends Serializable {
-
-  /** Occurrences of `label` (0 if absent). */
-  def apply(label: Long): Int = {
-    val k = java.util.Arrays.binarySearch(labels, label)
-    if (k >= 0) counts(k) else 0
-  }
-}
+final class LabelCounts(val labels: Array[Long], val counts: Array[Int]) extends Serializable
 
 /** Weighted undirected edges `(u(k), v(k), w(k))` as parallel arrays. */
 final class EdgeWeights(val u: Array[Int], val v: Array[Int], val w: Array[Double]) {
   require(u.length == v.length && v.length == w.length, "edge arrays differ in length")
 
   def size: Int = w.length
-
-  def toMap: Map[(Int, Int), Double] = w.indices.iterator.map(k => (u(k), v(k)) -> w(k)).toMap
-}
-
-object EdgeWeights {
-  def apply(m: Map[(Int, Int), Double]): EdgeWeights = {
-    val es = m.toArray
-    new EdgeWeights(es.map(_._1._1), es.map(_._1._2), es.map(_._2))
-  }
 }
 
 /** The two kernels of rSLPA post-processing (§III-B) that the local and the

@@ -50,22 +50,31 @@ object SparkPostProcess {
     * it) sends the driver its maximum spanning forest, at most n − 1 edges,
     * which connects at every threshold what the partition's edges connect
     * (Kruskal filtering, Lattanzi et al., SPAA 2011); the driver then runs
-    * [[PostKernel.chooseTau1]] over the union of the forests.
+    * [[PostKernel.chooseTau1]] over the union of the forests. Every vertex
+    * id in `w` must lie in `[0, n)`; the job fails otherwise.
     */
   def chooseTau1(w: RDD[((Long, Long), Double)], tau2: Double, n: Long): Double = {
+    require(n <= Int.MaxValue, s"chooseTau1 needs n <= Int.MaxValue vertices, got $n")
     val nv = n.toInt
     val forests = w.mapPartitions { it =>
       val es = it.toArray
       val f = PostKernel.spanningForest(nv,
-        new EdgeWeights(es.map(_._1._1.toInt), es.map(_._1._2.toInt), es.map(_._2)))
+        new EdgeWeights(es.map(e => denseId(e._1._1, nv)), es.map(e => denseId(e._1._2, nv)), es.map(_._2)))
       Iterator((f.u, f.v, f.w))
     }.collect()
     PostKernel.chooseTau1(nv,
       new EdgeWeights(forests.flatMap(_._1), forests.flatMap(_._2), forests.flatMap(_._3)), tau2)
   }
 
+  private def denseId(id: Long, n: Int): Int = {
+    require(id >= 0 && id < n, s"vertex id $id lies outside [0, $n): ids must be dense")
+    id.toInt
+  }
+
   /** Full extraction: components at τ1 are communities; an isolated vertex
     * joins the community of every non-isolated neighbor with w ≥ τ2.
+    * Vertex ids must be dense: `labels` holds ids `0 until n` and `edges`
+    * uses only those ids ([[chooseTau1]] fails otherwise).
     */
   def extract(labels: RDD[(Long, Array[Long])], edges: RDD[(Long, Long)],
               memLen: Int): SparkCover = {

@@ -37,9 +37,12 @@ object ConnectedComponents {
     *
     * Returns `(vertex, componentMinId)` for every vertex appearing in
     * `edges`. Throws `IllegalStateException` if clusters still change after
-    * `maxRounds` rounds.
+    * 64 rounds.
     */
-  def spark(edges: RDD[(Long, Long)], maxRounds: Int = 64): RDD[(Long, Long)] = {
+  def spark(edges: RDD[(Long, Long)]): RDD[(Long, Long)] = hashToMin(edges, maxRounds = 64)
+
+  /** [[spark]] with its round cap as a parameter, so a test can reach it. */
+  private[graph] def hashToMin(edges: RDD[(Long, Long)], maxRounds: Int): RDD[(Long, Long)] = {
     var clusters: RDD[(Long, Set[Long])] = edges
       .flatMap { case (u, v) => Iterator((u, Set(u, v)), (v, Set(u, v))) }
       .reduceByKey(_ ++ _)

@@ -1,0 +1,21 @@
+package repro.core
+
+/** Map views of the post-processing kernels' arrays, for writing and
+  * checking small cases by hand.
+  */
+object PostFixtures {
+
+  def weights(m: Map[(Int, Int), Double]): EdgeWeights = {
+    val es = m.toArray
+    new EdgeWeights(es.map(_._1._1), es.map(_._1._2), es.map(_._2))
+  }
+
+  def asMap(w: EdgeWeights): Map[(Int, Int), Double] =
+    (0 until w.size).map(k => (w.u(k), w.v(k)) -> w.w(k)).toMap
+
+  /** Occurrences of `label` in a histogram (0 if absent). */
+  def count(c: LabelCounts, label: Long): Int = {
+    val k = java.util.Arrays.binarySearch(c.labels, label)
+    if (k >= 0) c.counts(k) else 0
+  }
+}

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.PostFixtures._
 import repro.graph.ConnectedComponents
 import repro.metrics.SizeEntropy
 import repro.util.SplitMix64
@@ -52,7 +53,7 @@ class PostKernelSpec extends AnyFunSuite {
       val m = rng.nextInt(3 * n)
       val levels = 1 + rng.nextInt(12)
       val map = randomWeights(rng, n, m, levels)
-      val w = EdgeWeights(map)
+      val w = weights(map)
       val maxW = if (map.isEmpty) 0.0 else map.values.max
       val tau2s = Seq(0.0, maxW, maxW / 3, if (map.isEmpty) 0.0 else map.values.min)
       for (tau2 <- tau2s)
@@ -61,19 +62,19 @@ class PostKernelSpec extends AnyFunSuite {
   }
 
   test("chooseTau1 on an edgeless graph returns tau2") {
-    assert(PostKernel.chooseTau1(7, EdgeWeights(Map.empty[(Int, Int), Double]), 0.25) == 0.25)
+    assert(PostKernel.chooseTau1(7, weights(Map.empty[(Int, Int), Double]), 0.25) == 0.25)
     assert(probeTau1(7, Map.empty, 0.25) == 0.25)
   }
 
   test("chooseTau1 with a single weight level and tau2 = max w returns tau2") {
     val map = Map((0, 1) -> 0.5, (1, 2) -> 0.5, (4, 5) -> 0.5)
-    assert(PostKernel.chooseTau1(8, EdgeWeights(map), 0.5) == 0.5)
+    assert(PostKernel.chooseTau1(8, weights(map), 0.5) == 0.5)
     assert(probeTau1(8, map, 0.5) == 0.5)
   }
 
   test("a spanning forest keeps at most n - 1 edges") {
     val rng = new SplitMix64(7)
-    val w = EdgeWeights(randomWeights(rng, 30, 200, 5))
+    val w = weights(randomWeights(rng, 30, 200, 5))
     val f = PostKernel.spanningForest(30, w)
     assert(f.size <= 29)
     assert(f.size < w.size)
@@ -84,7 +85,7 @@ class PostKernelSpec extends AnyFunSuite {
       val rng = new SplitMix64(500 + parts)
       for (_ <- 0 until 10) {
         val n = 10 + rng.nextInt(50)
-        val w = EdgeWeights(randomWeights(rng, n, rng.nextInt(4 * n), 1 + rng.nextInt(20)))
+        val w = weights(randomWeights(rng, n, rng.nextInt(4 * n), 1 + rng.nextInt(20)))
         val f = forests(n, w, parts)
         val tau2 = if (w.size == 0) 0.0 else w.w.min
         assert(PostKernel.chooseTau1(n, f, tau2) == PostKernel.chooseTau1(n, w, tau2))

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.PostFixtures._
 import repro.graph.LocalGraph
 import repro.util.SplitMix64
 
@@ -43,7 +44,7 @@ class PostProcessSpec extends AnyFunSuite {
   test("edgeWeights computes similarity per edge") {
     val g = LocalGraph.fromEdges(3, Seq((0, 1), (1, 2)))
     val mems = Array(Array(1L, 1L), Array(1L, 2L), Array(2L, 2L))
-    val w = PostProcess.edgeWeights(g, mems).toMap
+    val w = asMap(PostProcess.edgeWeights(g, mems))
     assert(math.abs(w((0, 1)) - 0.5) < 1e-12)
     assert(math.abs(w((1, 2)) - 0.5) < 1e-12)
     assert(w.size == 2)
@@ -51,14 +52,14 @@ class PostProcessSpec extends AnyFunSuite {
 
   test("chooseTau2 is the min over vertices of the max incident weight") {
     val g = LocalGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3)))
-    val w = EdgeWeights(Map((0, 1) -> 0.9, (1, 2) -> 0.2, (2, 3) -> 0.6))
+    val w = weights(Map((0, 1) -> 0.9, (1, 2) -> 0.2, (2, 3) -> 0.6))
     // best: v0=0.9, v1=0.9, v2=0.6, v3=0.6 → min = 0.6
     assert(PostProcess.chooseTau2(g, w) == 0.6)
   }
 
   test("componentsAt keeps only components with >= 2 vertices") {
     val g = LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (3, 4)))
-    val w = EdgeWeights(Map((0, 1) -> 0.9, (1, 2) -> 0.1, (3, 4) -> 0.8))
+    val w = weights(Map((0, 1) -> 0.9, (1, 2) -> 0.1, (3, 4) -> 0.8))
     val comms = PostProcess.componentsAt(g, w, tau1 = 0.5)
     assert(comms.toSet == Set(Set(0, 1), Set(3, 4)))
   }
@@ -68,7 +69,7 @@ class PostProcessSpec extends AnyFunSuite {
     // two communities (entropy ln 2); below it, one giant (entropy ~0).
     val g = LocalGraph.fromEdges(6,
       Seq((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)))
-    val w = EdgeWeights(Map(
+    val w = weights(Map(
       (0, 1) -> 0.9, (1, 2) -> 0.9, (0, 2) -> 0.9,
       (3, 4) -> 0.9, (4, 5) -> 0.9, (3, 5) -> 0.9,
       (2, 3) -> 0.3))
@@ -82,21 +83,21 @@ class PostProcessSpec extends AnyFunSuite {
     // Vertex 2 sits between two strong pairs; its edges are below τ1 but
     // above τ2, so it joins both communities — the overlap mechanism.
     val g = LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4)))
-    val w = EdgeWeights(Map((0, 1) -> 0.9, (1, 2) -> 0.5, (2, 3) -> 0.5, (3, 4) -> 0.9))
+    val w = weights(Map((0, 1) -> 0.9, (1, 2) -> 0.5, (2, 3) -> 0.5, (3, 4) -> 0.9))
     val cover = PostProcess.extractAt(g, w, tau1 = 0.8, tau2 = 0.4)
     assert(cover.toSet == Set(Set(0, 1, 2), Set(2, 3, 4)))
   }
 
   test("extractAt does not attach below tau2") {
     val g = LocalGraph.fromEdges(3, Seq((0, 1), (1, 2)))
-    val w = EdgeWeights(Map((0, 1) -> 0.9, (1, 2) -> 0.1))
+    val w = weights(Map((0, 1) -> 0.9, (1, 2) -> 0.1))
     val cover = PostProcess.extractAt(g, w, tau1 = 0.8, tau2 = 0.4)
     assert(cover.toSet == Set(Set(0, 1)))
   }
 
   test("extractAt keeps disconnected strong components distinct") {
     val g = LocalGraph.fromEdges(4, Seq((0, 1), (2, 3)))
-    val w = EdgeWeights(Map((0, 1) -> 0.9, (2, 3) -> 0.9))
+    val w = weights(Map((0, 1) -> 0.9, (2, 3) -> 0.9))
     val cover = PostProcess.extractAt(g, w, tau1 = 0.5, tau2 = 0.2)
     assert(cover.toSet == Set(Set(0, 1), Set(2, 3)))
   }
@@ -115,7 +116,7 @@ class PostProcessSpec extends AnyFunSuite {
 
   test("labelCounts histogram") {
     val m = PostKernel.labelCounts(Array(2L, 1L, 2L, 1L, 1L, 5L))
-    assert(m(1L) == 3 && m(2L) == 2 && m(5L) == 1 && m(7L) == 0)
+    assert(count(m, 1L) == 3 && count(m, 2L) == 2 && count(m, 5L) == 1 && count(m, 7L) == 0)
     assert(m.labels.toSeq == Seq(1L, 2L, 5L) && m.counts.toSeq == Seq(3, 2, 1))
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.PostFixtures._
 import repro.{Oracle, SparkSpec}
 import repro.graph.{GraphGen, GraphOps, LocalGraph}
 
@@ -16,7 +17,7 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
   test("spark edge weights match the local computation") {
     val dist = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), memLen = 13)
       .collect().toMap
-    val local = PostProcess.edgeWeights(g, localSt.labels).toMap
+    val local = asMap(PostProcess.edgeWeights(g, localSt.labels))
     assert(dist.size == local.size)
     local.foreach { case ((u, v), w) =>
       assert(math.abs(dist((u.toLong, v.toLong)) - w) < 1e-12, s"weight differs at ($u,$v)")
@@ -83,5 +84,11 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     val lbls = sc.parallelize(Seq((0L, Array(0L)), (1L, Array(1L)), (2L, Array(2L))))
     val cover = SparkPostProcess.extract(lbls, sc.emptyRDD[(Long, Long)], 1)
     assert(cover.assignments.isEmpty())
+  }
+
+  test("chooseTau1 rejects vertex ids outside [0, n)") {
+    val w = sc.parallelize(Seq(((0L, 1L), 0.5), ((1L, 7L), 0.25)))
+    val e = intercept[Exception](SparkPostProcess.chooseTau1(w, 0.25, 3))
+    assert(e.getMessage.contains("vertex id 7 lies outside [0, 3)"), e.getMessage)
   }
 }

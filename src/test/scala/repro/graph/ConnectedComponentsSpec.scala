@@ -91,7 +91,7 @@ class ConnectedComponentsSpec extends AnyFunSuite with SparkSpec {
   test("spark CC throws when it hits its round cap") {
     val edges = (0L until 63L).map(i => (i, i + 1))
     val e = intercept[IllegalStateException] {
-      ConnectedComponents.spark(spark.sparkContext.parallelize(edges), maxRounds = 2)
+      ConnectedComponents.hashToMin(spark.sparkContext.parallelize(edges), maxRounds = 2)
     }
     assert(e.getMessage.contains("after 2 rounds"), e.getMessage)
   }
