@@ -6,8 +6,8 @@ import repro.graph.GraphGen
 import repro.util.BenchUtil
 import repro.util.BenchUtil.{f2, f3}
 
-/** §IV-D model validation (bonus table) — measured labels touched by
-  * correction propagation vs expected η̂ (Eq. 8) and the best/worst-case
+/** §IV-D model validation (bonus table) — measured η (labels whose value
+  * an update changed) vs expected η̂ (Eq. 8) and the best/worst-case
   * bounds (Eqs. 10/12), across batch sizes.
   */
 class ComplexityBench extends AnyFunSuite {
@@ -21,19 +21,19 @@ class ComplexityBench extends AnyFunSuite {
     BenchUtil.printTable(
       "Labels needing update: measured vs Sec. IV-D model",
       Seq("batch", "p_c", "measured eta", "expected (Eq.8)", "best (Eq.10)", "worst (Eq.12)"),
-      rows.map(r => Seq(r.batchSize.toString, f3(r.pc), f2(r.measuredTouched),
+      rows.map(r => Seq(r.batchSize.toString, f3(r.pc), f2(r.measuredEta),
         f2(r.expected), f2(r.bestCase), f2(r.worstCase))))
 
     rows.foreach { r =>
       assert(r.bestCase <= r.expected + 1e-6 && r.expected <= r.worstCase + 1e-6)
       // Measured values sit inside (or near) the analytical envelope.
-      assert(r.measuredTouched <= r.worstCase * 1.5,
-        s"batch=${r.batchSize}: measured ${r.measuredTouched} above worst ${r.worstCase}")
-      assert(r.measuredTouched >= r.bestCase * 0.2,
-        s"batch=${r.batchSize}: measured ${r.measuredTouched} below best ${r.bestCase}")
+      assert(r.measuredEta <= r.worstCase * 1.5,
+        s"batch=${r.batchSize}: measured ${r.measuredEta} above worst ${r.worstCase}")
+      assert(r.measuredEta >= r.bestCase * 0.2,
+        s"batch=${r.batchSize}: measured ${r.measuredEta} below best ${r.bestCase}")
     }
     // Sublinear growth of eta in the batch size (the Fig. 9 explanation).
-    val etaRatio = rows.last.measuredTouched / rows.head.measuredTouched
+    val etaRatio = rows.last.measuredEta / rows.head.measuredEta
     assert(etaRatio < 100.0, s"eta should grow sublinearly: x$etaRatio for batch x100")
   }
 }

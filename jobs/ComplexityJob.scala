@@ -5,8 +5,8 @@ import repro.graph.GraphGen
 import repro.util.BenchUtil
 import repro.util.BenchUtil.{f2, f3}
 
-/** §IV-D (as a table) — measured labels touched by correction propagation
-  * vs the model: expected η̂ (Eq. 8) and best/worst bounds (Eqs. 10/12).
+/** §IV-D (as a table) — measured η (labels whose value an update
+  * changed) vs the model: expected η̂ (Eq. 8) and best/worst bounds (Eqs. 10/12).
   *
   * Args: [scale] [rawEdges] [T] [runs] (defaults 14, 200000, 100, 3).
   */
@@ -21,7 +21,7 @@ object ComplexityJob {
     val rows = ComplexityExperiment.run(g, t, Seq(100, 1000, 10000), runs, seed = 10)
     BenchUtil.printTable("Correction-propagation cost vs the Sec. IV-D model",
       Seq("batch", "p_c", "measured eta", "expected (Eq.8)", "best (Eq.10)", "worst (Eq.12)"),
-      rows.map(r => Seq(r.batchSize.toString, f3(r.pc), f2(r.measuredTouched),
+      rows.map(r => Seq(r.batchSize.toString, f3(r.pc), f2(r.measuredEta),
         f2(r.expected), f2(r.bestCase), f2(r.worstCase))))
   }
 }

@@ -35,11 +35,6 @@ object Picks {
     new NeighborDiff(vid, newAdj, added.result(), nU,
       wasIsolated = oldAdj.isEmpty, unchanged = java.util.Arrays.equals(oldAdj, newAdj))
   }
-
-  /** [[NeighborDiff.repick]] for a single position. */
-  def repick(oldAdj: Array[Long], newAdj: Array[Long], vid: Long, t: Int,
-             curSrc: Long, seed: Long, epoch: Long): Option[(Long, Int)] =
-    diff(oldAdj, newAdj, vid).repick(t, curSrc, seed, epoch)
 }
 
 /** The neighborhood diff of one vertex (see [[Picks.diff]]): its sorted new

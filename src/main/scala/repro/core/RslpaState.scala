@@ -22,16 +22,6 @@ final class RslpaState(
     val recv: Array[Array[List[(Int, Int)]]]
 ) {
 
-  /** Deep copy — incremental updating mutates in place. */
-  def copyState(): RslpaState =
-    new RslpaState(
-      n, T,
-      labels.map(_.clone()),
-      srcs.map(_.clone()),
-      poss.map(_.clone()),
-      recv.map(_.clone())
-    )
-
   /** Structural invariant check used by tests: every recorded (src, pos)
     * points inside bounds, the stored label equals the source's label at
     * that position, and `recv` mirrors `(srcs, poss)` exactly.

@@ -5,247 +5,137 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 import repro.core.SparkRSLPA.RVState
 
+import scala.collection.mutable
+
 /** Distributed Correction Propagation — Algorithm 2 on the keyed-RDD state
   * produced by [[SparkRSLPA]].
   *
-  * Round structure mirrors the paper's Mapper/Reducer pseudocode:
-  *  1. every vertex with a changed neighborhood builds its [[Picks.diff]]
-  *     once and evaluates `NeedRepick` / `Repick` for each of its T picks
-  *     (deterministic), emitting *unregister* messages to old sources and
-  *     *fetch* requests to new sources;
-  *  2. sources serve the requested labels and maintain their receiver
-  *     records R (§IV-B's maintenance);
-  *  3. requesters apply the answers; every label whose value changed
-  *     notifies its receivers (from R), which apply and forward — the
-  *     `while any buffer is non-empty` loop. A change at position t only
-  *     triggers positions > t, so the cascade quiesces within T levels.
+  * One distributed step decides the re-picks: the cached state is joined
+  * with the new adjacency, and every vertex whose neighborhood changed
+  * builds its [[Picks.diff]] once and evaluates `NeedRepick` / `Repick` for
+  * each of its T picks where its row lives. Those rows, with their new
+  * neighbors and re-picks, are collected to the driver.
   *
-  * The vertex state is hash-partitioned once; phases 1a–1c are
-  * partition-preserving cogroups against small message RDDs, so only the
-  * O(η) messages are shuffled, never the O(|V|·T) state. The §IV-B
-  * correction cascade (step 3) is *driver-coordinated*: the affected
-  * closure — η labels, small by the paper's own analysis — is pulled in
-  * vertex-batched bulk joins and cascaded centrally, then written back in
-  * one partition-preserving merge. This trades the paper's per-position
-  * barrier rounds (up to T of them, each paying a scheduler floor) for a
-  * handful of vertex-level rounds, which is what realizes the Fig. 9
-  * speedups at single-machine scale.
+  * The rest runs on the driver, through the [[Correction]] kernel the local
+  * engine calls too: the driver loads the re-picks' old and new sources,
+  * applies the re-picks, loads every row the cascade can reach (the
+  * R-closure of the changed labels) in vertex-level rounds, and drains
+  * once. The closure holds about η labels (small by the paper's own §IV-D
+  * analysis), and each round is one narrow job per vertex-level hop instead
+  * of the paper's up to T barrier rounds, each of which would pay a
+  * scheduler floor at single-machine scale. The loaded rows go back in one
+  * partition-preserving pass, so the full state is never shuffled.
   *
   * The final state is bit-identical to [[LocalIncremental.update]] under
-  * the same `(seed, epoch)` — both converge to the unique fixpoint
-  * `l_i^t = l_{src_i^t}^{pos_i^t}` over identical `(src, pos)` picks.
+  * the same `(seed, epoch)`, and so are the [[UpdateStats]]: the kernel
+  * applies the same re-picks in the same order.
   */
 object SparkCorrection {
 
-  /** Stats mirroring [[UpdateStats]]: picks changed, labels whose final
-    * value differs from their value before the batch (η, each (vertex, pos)
-    * once), and driver rounds of the correction cascade.
-    */
-  final case class SparkUpdateStats(repicked: Long, corrected: Long, rounds: Int)
-
-  // Source-side events: kind 0 = unregister (pos, tar, k); 1 = fetch+register.
-  private type Event = (Int, Int, Long, Int)
-
-  /** Apply the receiver-record maintenance of `evs` to a copy of `recv`. */
-  private def maintained(recv: Array[List[(Long, Int)]],
-                         evs: Iterable[Event]): Array[List[(Long, Int)]] = {
-    val out = recv.clone()
-    evs.foreach {
-      case (0, pos, tar, k) => out(pos) = out(pos).filterNot(_ == ((tar, k)))
-      case (1, pos, tar, k) => out(pos) ::= ((tar, k))
-      case other            => throw new IllegalStateException(s"bad event $other")
-    }
-    out
-  }
-
-  /** Apply an edit batch. `newAdj` must list the (sorted) adjacency of
-    * every vertex of the new graph. Returns the updated state.
+  /** Apply an edit batch. `newAdj` must list the adjacency of every vertex
+    * of the new graph, with the same vertex ids as `state0`, which must lie
+    * in `[0, Correction.maxVertex(T)]` (checked as rows reach the driver).
+    * Returns the updated state, persisted and materialized, with its
+    * lineage cut.
     */
   def update(state0: RDD[(Long, RVState)], newAdj: RDD[(Long, Array[Long])],
              T: Int, seed: Long, epoch: Long,
-             numPartitions: Int = 0): (RDD[(Long, RVState)], SparkUpdateStats) = {
+             numPartitions: Int = 0): (RDD[(Long, RVState)], UpdateStats) = {
     val sc = state0.sparkContext
     val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
     val part = new HashPartitioner(parts)
-    val repickedAcc = sc.longAccumulator("repicked")
+    if (state0.getStorageLevel == StorageLevel.NONE) state0.persist(StorageLevel.MEMORY_AND_DISK)
+    // A no-op for states from SparkRSLPA or an earlier update, which are
+    // partitioned this way; the write-back below relies on it.
+    val state = state0.partitionBy(part)
 
-    val state =
-      if (state0.getStorageLevel == StorageLevel.NONE) state0.persist(StorageLevel.MEMORY_AND_DISK)
-      else state0
-    val nadj = newAdj.mapValues(_.sorted).partitionBy(part).persist(StorageLevel.MEMORY_AND_DISK)
-
-    // Phase 1a: decide repicks, address unregister/fetch events to sources.
-    val events: RDD[(Long, Event)] = state.join(nadj, part).flatMap { case (i, (st, nn)) =>
+    // Each changed vertex's row with its new neighbors, and its re-picks
+    // (t, src, pos). Collected rows are copies, which the driver may write.
+    val changed = state.join(newAdj.mapValues(_.sorted), part).flatMap { case (i, (st, nn)) =>
       if (java.util.Arrays.equals(st.nbrs, nn)) Iterator.empty
       else {
         val diff = Picks.diff(st.nbrs, nn, i)
-        (1 to T).iterator.flatMap { t =>
-          diff.repick(t, st.srcs(t), seed, epoch) match {
-            case Some((src2, pos2)) =>
-              repickedAcc.add(1)
-              Iterator(
-                (st.srcs(t), (0, st.poss(t), i, t): Event),
-                (src2, (1, pos2, i, t): Event)
-              )
-            case None => Iterator.empty
+        val repicks = (1 to T).flatMap { t =>
+          diff.repick(t, st.srcs(t), seed, epoch).map { case (s, p) => (t, s, p) }
+        }
+        Iterator((i, st.copy(nbrs = nn), repicks))
+      }
+    }.collect().sortBy(_._1)
+
+    val rows = new DriverRows(state, T)
+    changed.foreach { case (i, st, _) => rows.put(i, st) }
+    rows.load(changed.iterator.flatMap { case (_, st, rs) =>
+      rs.iterator.flatMap { case (t, s, _) => Iterator(st.srcs(t), s) }
+    })
+    val c = new Correction(rows, T)
+    for ((i, _, rs) <- changed; (t, s, p) <- rs) c.repick(i, t, s, p)
+
+    // Load the R-closure of the changed labels. A label is left for the
+    // next round when its row is not loaded yet, and positions rise along
+    // R, so round r starts at positions above r and T rounds suffice.
+    var next = c.changed.toList
+    val seen = mutable.HashSet.from(next)
+    var round = 0
+    while (next.nonEmpty) {
+      if (round == T)
+        throw new IllegalStateException(s"R-closure still growing after $round rounds: ${next.size} labels")
+      rows.load(next.iterator.map(_._1))
+      var todo = next; next = Nil
+      while (todo.nonEmpty) {
+        val (v, p) = todo.head; todo = todo.tail
+        rows.foreachReceiver(v, p) { (tar, k) =>
+          if (seen.add((tar, k))) {
+            if (rows.loaded.contains(tar)) todo ::= ((tar, k)) else next ::= ((tar, k))
           }
         }
       }
+      round += 1
     }
-    val evGrouped = events.groupByKey(part).persist(StorageLevel.MEMORY_AND_DISK)
+    val stats = c.drain()
 
-    // Phase 1b: sources serve the requested labels (pre-update values —
-    // stale reads are healed by the correction loop).
-    val responses: RDD[(Long, (Int, Long))] =
-      state.join(evGrouped, part).flatMap { case (_, (st, evs)) =>
-        evs.iterator.collect { case (1, pos, i, t) => (i, (t, st.labels(pos))) }
-      }
+    // Swap the loaded rows in. `parallelize` cuts a sequence of `parts`
+    // elements into one per partition, so partition p of `slices` holds the
+    // rows that `part` places in partition p of the state.
+    val byPart = rows.loaded.toSeq.groupBy { case (v, _) => part.getPartition(v) }
+    val slices = sc.parallelize(Seq.tabulate(parts)(p => byPart.getOrElse(p, Nil).toMap), parts)
+    val result = state.zipPartitions(slices, preservesPartitioning = true) { (it, slice) =>
+      val swap = slice.next()
+      it.map { case (i, st) => (i, swap.getOrElse(i, st)) }
+    }.persist(StorageLevel.MEMORY_AND_DISK)
+    result.localCheckpoint()
+    result.count()
+    (result, stats)
+  }
 
-    // Phase 1c: one cogroup, consumed twice — a partition-preserving state
-    // update and a (small) first wave of corrections. Note phase 2 below
-    // only ever changes label *values*: the (src, pos) picks and receiver
-    // records are final after this phase.
-    val joined = state.cogroup(evGrouped, responses, nadj, part)
-      .persist(StorageLevel.MEMORY_AND_DISK)
+  /** Rows of `state` loaded on the driver, as correction rows. */
+  private final class DriverRows(state: RDD[(Long, RVState)], T: Int) extends Correction.Rows {
+    val loaded = mutable.LongMap.empty[RVState]
+    private val maxId = Correction.maxVertex(T)
 
-    val applied: RDD[(Long, RVState)] = joined.mapPartitions(
-      _.map { case (i, (sts, evsG, respG, nadjG)) =>
-        val st = sts.head
-        val nn = nadjG.headOption.getOrElse(st.nbrs)
-        val evs = evsG.iterator.flatten.toSeq
-        val resp = respG.toSeq
-        if (evs.isEmpty && resp.isEmpty && (nn sameElements st.nbrs)) (i, st)
-        else {
-          val newRecv = maintained(st.recv, evs)
-          val labels = st.labels.clone()
-          val srcs = st.srcs.clone()
-          val poss = st.poss.clone()
-          lazy val diff = Picks.diff(st.nbrs, nn, i)
-          resp.foreach { case (t, lbl) =>
-            // Recompute the (deterministic) decision to learn (src, pos).
-            val (src2, pos2) = diff.repick(t, st.srcs(t), seed, epoch)
-              .getOrElse(throw new IllegalStateException(s"lost repick at ($i,$t)"))
-            srcs(t) = src2; poss(t) = pos2
-            labels(t) = lbl
-          }
-          (i, RVState(nn, labels, srcs, poss, newRecv))
-        }
-      },
-      preservesPartitioning = true
-    ).persist(StorageLevel.MEMORY_AND_DISK)
-
-    // The labels the answers changed, as (i, t, before, after), each with
-    // its receivers in the maintained R.
-    val firstWave: RDD[(Long, Int, Long, Long, List[(Long, Int)])] = joined.flatMap {
-      case (i, (sts, evsG, respG, _)) =>
-        val st = sts.head
-        val resp = respG.toSeq
-        if (resp.isEmpty) Iterator.empty
-        else {
-          val newRecv = maintained(st.recv, evsG.iterator.flatten.toSeq)
-          resp.iterator.collect {
-            case (t, lbl) if st.labels(t) != lbl => (i, t, st.labels(t), lbl, newRecv(t))
-          }
-        }
+    def put(v: Long, st: RVState): Unit = {
+      require(v >= 0 && v <= maxId, s"vertex id $v is outside [0, $maxId], where label keys fit a Long")
+      loaded(v) = st
     }
 
-    applied.count()
-
-    // Phase 2: correction propagation, driver-coordinated.
-    //
-    // The cascade is position-ordered and can be up to T levels deep, but
-    // its *volume* is η << T·|V| (the §IV-D analysis — the reason
-    // incremental updating wins at all). Running one Spark barrier per
-    // position level would pay up to T scheduling floors, which at small
-    // scale costs as much as a from-scratch run. Instead, the affected
-    // closure is pulled to the driver in vertex-batched BFS rounds — one
-    // `join` per *vertex-level* hop, typically far fewer than T — and the
-    // per-label cascade runs centrally over the fetched sub-state. Only
-    // label values change in phase 2 (picks and receiver records are final
-    // after phase 1), so the write-back is a single partition-preserving
-    // merge of (vertex → changed positions).
-    import scala.collection.mutable
-    val fetched = mutable.HashMap.empty[Long, (Array[Long], Array[List[(Long, Int)]])]
-    val changed = mutable.HashMap.empty[Long, mutable.HashMap[Int, Long]]
-    // η: (value before the batch, current value) of every label changed
-    // by the answers or the cascade.
-    val eta = mutable.HashMap.empty[(Long, Int), (Long, Long)]
-    // Corrections (tar, k, srcV, srcP) waiting for a vertex to be fetched,
-    // as *source references*: the receiver re-reads the source's current
-    // value at apply time, so out-of-order delivery across driver rounds
-    // cannot apply stale values.
-    var deferred = mutable.ArrayBuffer.empty[(Long, Int, Long, Int)]
-    firstWave.collect().foreach { case (i, t, before, after, receivers) =>
-      eta((i, t)) = (before, after)
-      receivers.foreach { case (tar, k) => deferred += ((tar, k, i, t)) }
+    /** Load the rows of `vs` not loaded yet: one narrow job. */
+    def load(vs: Iterator[Long]): Unit = {
+      val need = vs.filterNot(loaded.contains).toSet
+      if (need.nonEmpty)
+        state.filter { case (v, _) => need(v) }.collect().foreach { case (v, st) => put(v, st) }
     }
 
-    def curVal(v: Long, p: Int): Long =
-      changed.get(v).flatMap(_.get(p)).getOrElse(fetched(v)._1(p))
-
-    var rounds = 0
-    while (deferred.nonEmpty && rounds < 2 * (T + 1)) {
-      // Fetch the next frontier (targets and sources) in one bulk join.
-      val need = deferred.iterator
-        .flatMap { case (tar, _, srcV, _) => Iterator(tar, srcV) }
-        .filterNot(fetched.contains).toSet.toSeq
-      if (need.nonEmpty) {
-        val needRdd = sc.parallelize(need.map(v => (v, ())), parts).partitionBy(part)
-        applied.join(needRdd, part)
-          .mapValues { case (st, _) => (st.labels, st.recv) }
-          .collect()
-          .foreach { case (v, payload) => fetched(v) = payload }
-      }
-      // Cascade over everything currently fetchable, ordered by position.
-      val queue = mutable.PriorityQueue.empty[(Long, Int, Long, Int)](
-        Ordering.by { case (_, k, _, _) => -k })
-      deferred.foreach(queue.enqueue(_))
-      deferred = mutable.ArrayBuffer.empty
-      while (queue.nonEmpty) {
-        val e @ (tar, k, srcV, srcP) = queue.dequeue()
-        if (!fetched.contains(tar) || !fetched.contains(srcV)) deferred += e
-        else {
-          val l = curVal(srcV, srcP)
-          val old = curVal(tar, k)
-          if (old != l) {
-            changed.getOrElseUpdate(tar, mutable.HashMap.empty)(k) = l
-            eta((tar, k)) = (eta.get((tar, k)).fold(old)(_._1), l)
-            fetched(tar)._2(k).foreach { case (t2, k2) => queue.enqueue((t2, k2, tar, k)) }
-          }
-        }
-      }
-      rounds += 1
+    def label(v: Long, t: Int): Long = loaded(v).labels(t)
+    def setLabel(v: Long, t: Int, l: Long): Unit = loaded(v).labels(t) = l
+    def pick(v: Long, t: Int): (Long, Int) = { val st = loaded(v); (st.srcs(t), st.poss(t)) }
+    def setPick(v: Long, t: Int, src: Long, pos: Int): Unit = {
+      val st = loaded(v); st.srcs(t) = src; st.poss(t) = pos
     }
-    if (deferred.nonEmpty)
-      throw new IllegalStateException(
-        s"correction cascade did not converge: ${deferred.size} pending corrections after $rounds rounds")
-
-    // Write back the changed label values (partition-preserving merge).
-    val result =
-      if (changed.isEmpty) applied
-      else {
-        val updates = sc.parallelize(
-          changed.iterator.map { case (v, m) => (v, m.toArray) }.toSeq, parts)
-        val merged = applied.cogroup(updates, part).mapPartitions(
-          _.map { case (i, (sts, ups)) =>
-            val st = sts.head
-            val us = ups.iterator.flatten.toArray
-            if (us.isEmpty) (i, st)
-            else {
-              val labels = st.labels.clone()
-              us.foreach { case (k, l) => labels(k) = l }
-              (i, RVState(st.nbrs, labels, st.srcs, st.poss, st.recv))
-            }
-          },
-          preservesPartitioning = true
-        ).persist(StorageLevel.MEMORY_AND_DISK)
-        merged.count()
-        merged
-      }
-    nadj.unpersist(blocking = false)
-    evGrouped.unpersist(blocking = false)
-    joined.unpersist(blocking = false)
-    val corrected = eta.valuesIterator.count { case (before, after) => before != after }
-    (result, SparkUpdateStats(repickedAcc.value, corrected.toLong, rounds))
+    def addReceiver(v: Long, p: Int, tar: Long, k: Int): Unit = loaded(v).recv(p) ::= ((tar, k))
+    def removeReceiver(v: Long, p: Int, tar: Long, k: Int): Unit = {
+      val st = loaded(v); val rec = (tar, k)
+      st.recv(p) = st.recv(p).filterNot(_ == rec)
+    }
+    def foreachReceiver(v: Long, p: Int)(f: (Long, Int) => Unit): Unit =
+      loaded(v).recv(p).foreach { case (tar, k) => f(tar, k) }
   }
 }

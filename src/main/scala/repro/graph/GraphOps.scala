@@ -11,14 +11,10 @@ object GraphOps {
   /** `(vid, sortedNeighbors)` for every vertex of `g` (including isolated
     * ones — the engines must handle degree 0).
     */
-  def adjacencyRDD(sc: SparkContext, g: LocalGraph, numSlices: Int = 0): RDD[(Long, Array[Long])] = {
-    val rows = (0 until g.n).map(i => (i.toLong, g.adj(i).map(_.toLong)))
-    if (numSlices > 0) sc.parallelize(rows, numSlices) else sc.parallelize(rows)
-  }
+  def adjacencyRDD(sc: SparkContext, g: LocalGraph): RDD[(Long, Array[Long])] =
+    sc.parallelize((0 until g.n).map(i => (i.toLong, g.adj(i).map(_.toLong))))
 
   /** Canonical (u < v) undirected edge list of `g`. */
-  def edgesRDD(sc: SparkContext, g: LocalGraph, numSlices: Int = 0): RDD[(Long, Long)] = {
-    val rows = g.edges.map { case (u, v) => (u.toLong, v.toLong) }
-    if (numSlices > 0) sc.parallelize(rows, numSlices) else sc.parallelize(rows)
-  }
+  def edgesRDD(sc: SparkContext, g: LocalGraph): RDD[(Long, Long)] =
+    sc.parallelize(g.edges.map { case (u, v) => (u.toLong, v.toLong) })
 }

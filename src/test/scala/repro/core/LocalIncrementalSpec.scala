@@ -150,4 +150,52 @@ class LocalIncrementalSpec extends AnyFunSuite {
       assert(tv < 0.08, s"total variation at $key is $tv:\n  inc=$p\n  scr=$q")
     }
   }
+
+  /** Per-(vertex, iteration) marginal label distributions of the memories
+    * `labelsOf(s)` over `trials` runs.
+    */
+  private def labelDistribution(n: Int, T: Int, trials: Int)(labelsOf: Int => Array[Array[Long]]) = {
+    val counts = scala.collection.mutable.Map.empty[(Int, Int), scala.collection.mutable.Map[Long, Int]]
+    for (s <- 0 until trials) {
+      val mem = labelsOf(s)
+      for (i <- 0 until n; t <- 1 to T) {
+        val m = counts.getOrElseUpdate((i, t), scala.collection.mutable.Map.empty)
+        m(mem(i)(t)) = m.getOrElse(mem(i)(t), 0) + 1
+      }
+    }
+    counts.view.mapValues(_.view.mapValues(_.toDouble / trials).toMap).toMap
+  }
+
+  private def assertSameDistribution(inc: Map[(Int, Int), Map[Long, Double]],
+                                     scr: Map[(Int, Int), Map[Long, Double]], bound: Double): Unit =
+    for (key <- scr.keys) {
+      val p = inc(key); val q = scr(key)
+      val tv = (p.keySet ++ q.keySet).iterator
+        .map(l => math.abs(p.getOrElse(l, 0.0) - q.getOrElse(l, 0.0))).sum / 2
+      assert(tv < bound, s"total variation at $key is $tv:\n  inc=$p\n  scr=$q")
+    }
+
+  test("chained batches: incremental labels match from-scratch labels in distribution") {
+    // Theorems 4/5 over three batches chained on one state, each with its
+    // own epoch, against scratch runs on the final graph; same trials and
+    // bound as the HEADLINE test.
+    val g = LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3)))
+    val graphs = Seq(
+      (Seq((0, 4)), Seq((1, 2))),
+      (Seq((1, 2)), Seq((3, 4), (0, 1))),
+      (Seq((2, 4), (0, 1)), Seq((1, 3)))
+    ).scanLeft(g) { case (h, (ins, del)) => h.edited(ins, del) }
+    val T = 3
+    val trials = 4000
+    val incremental = labelDistribution(g.n, T, trials) { s =>
+      val st = LocalRSLPA.propagate(g, T, seed = 1000000L + s)
+      for (e <- 1 until graphs.size)
+        LocalIncremental.update(graphs(e - 1), graphs(e), st, seed = 1000000L + s, epoch = e)
+      st.labels
+    }
+    val scratch = labelDistribution(g.n, T, trials) { s =>
+      LocalRSLPA.propagate(graphs.last, T, seed = 9000000L + s).labels
+    }
+    assertSameDistribution(incremental, scratch, 0.08)
+  }
 }

@@ -8,6 +8,11 @@ import repro.util.{Rng, SplitMix64}
   */
 class PicksSpec extends AnyFunSuite {
 
+  /** [[NeighborDiff.repick]] for a single position. */
+  private def repick(oldAdj: Array[Long], newAdj: Array[Long], vid: Long, t: Int,
+                     curSrc: Long, seed: Long, epoch: Long): Option[(Long, Int)] =
+    Picks.diff(oldAdj, newAdj, vid).repick(t, curSrc, seed, epoch)
+
   test("pickIdx self-picks for degree 0") {
     assert(Picks.pickIdx(0, 5L, 3, seed = 1) == (-1, 0))
   }
@@ -54,21 +59,21 @@ class PicksSpec extends AnyFunSuite {
   test("repick: Category 1 (unchanged) keeps everything") {
     val adj = Array(1L, 2L, 3L)
     (0 until 50).foreach { s =>
-      assert(Picks.repick(adj, adj, 0L, 4, curSrc = 2L, seed = s, epoch = 1).isEmpty)
+      assert(repick(adj, adj, 0L, 4, curSrc = 2L, seed = s, epoch = 1).isEmpty)
     }
   }
 
   test("repick: Category 2 keeps picks whose source edge survives") {
     val oldAdj = Array(1L, 2L, 3L); val newAdj = Array(1L, 3L) // lost 2
     (0 until 50).foreach { s =>
-      assert(Picks.repick(oldAdj, newAdj, 0L, 4, curSrc = 3L, seed = s, epoch = 1).isEmpty)
+      assert(repick(oldAdj, newAdj, 0L, 4, curSrc = 3L, seed = s, epoch = 1).isEmpty)
     }
   }
 
   test("repick: Category 2 re-picks when the source edge was deleted") {
     val oldAdj = Array(1L, 2L, 3L); val newAdj = Array(1L, 3L)
     (0 until 50).foreach { s =>
-      val r = Picks.repick(oldAdj, newAdj, 0L, 4, curSrc = 2L, seed = s, epoch = 1)
+      val r = repick(oldAdj, newAdj, 0L, 4, curSrc = 2L, seed = s, epoch = 1)
       assert(r.isDefined)
       val (src, pos) = r.get
       assert(newAdj.contains(src) && pos >= 0 && pos < 4)
@@ -80,7 +85,7 @@ class PicksSpec extends AnyFunSuite {
     val counts = scala.collection.mutable.Map.empty[Long, Int].withDefaultValue(0)
     val trials = 9000
     (0 until trials).foreach { s =>
-      val Some((src, _)) = Picks.repick(oldAdj, newAdj, 0L, 3, curSrc = 2L, seed = s, epoch = 1)
+      val Some((src, _)) = repick(oldAdj, newAdj, 0L, 3, curSrc = 2L, seed = s, epoch = 1)
       counts(src) += 1
     }
     newAdj.foreach { v =>
@@ -94,7 +99,7 @@ class PicksSpec extends AnyFunSuite {
     var kept = 0
     val srcCounts = scala.collection.mutable.Map.empty[Long, Int].withDefaultValue(0)
     (0 until trials).foreach { s =>
-      Picks.repick(oldAdj, newAdj, 0L, 3, curSrc = 1L, seed = s, epoch = 1) match {
+      repick(oldAdj, newAdj, 0L, 3, curSrc = 1L, seed = s, epoch = 1) match {
         case None           => kept += 1
         case Some((src, _)) => srcCounts(src) += 1
       }
@@ -110,7 +115,7 @@ class PicksSpec extends AnyFunSuite {
     val counts = scala.collection.mutable.Map.empty[Long, Int].withDefaultValue(0)
     val trials = 9000
     (0 until trials).foreach { s =>
-      val r = Picks.repick(oldAdj, newAdj, 0L, 3, curSrc = 1L, seed = s, epoch = 1)
+      val r = repick(oldAdj, newAdj, 0L, 3, curSrc = 1L, seed = s, epoch = 1)
       assert(r.isDefined)
       counts(r.get._1) += 1
     }
@@ -120,23 +125,23 @@ class PicksSpec extends AnyFunSuite {
   }
 
   test("repick: previously isolated vertex re-picks from its new neighbors") {
-    val r = Picks.repick(Array.empty[Long], Array(5L, 6L), 0L, 2, curSrc = 0L, seed = 3, epoch = 1)
+    val r = repick(Array.empty[Long], Array(5L, 6L), 0L, 2, curSrc = 0L, seed = 3, epoch = 1)
     assert(r.isDefined && Set(5L, 6L).contains(r.get._1))
   }
 
   test("repick: vertex that became isolated self-picks") {
-    val r = Picks.repick(Array(5L), Array.empty[Long], 0L, 2, curSrc = 5L, seed = 3, epoch = 1)
+    val r = repick(Array(5L), Array.empty[Long], 0L, 2, curSrc = 5L, seed = 3, epoch = 1)
     assert(r.contains((0L, 0)))
   }
 
   test("repick: still-isolated vertex keeps its self-pick") {
-    assert(Picks.repick(Array.empty[Long], Array.empty[Long], 0L, 2, 0L, 3, 1).isEmpty)
+    assert(repick(Array.empty[Long], Array.empty[Long], 0L, 2, 0L, 3, 1).isEmpty)
   }
 
   test("repick decisions differ across epochs") {
     val oldAdj = Array(1L, 2L, 3L); val newAdj = Array(1L, 3L)
-    val d1 = (0 until 100).map(s => Picks.repick(oldAdj, newAdj, 0L, 9, 2L, s, epoch = 1))
-    val d2 = (0 until 100).map(s => Picks.repick(oldAdj, newAdj, 0L, 9, 2L, s, epoch = 2))
+    val d1 = (0 until 100).map(s => repick(oldAdj, newAdj, 0L, 9, 2L, s, epoch = 1))
+    val d2 = (0 until 100).map(s => repick(oldAdj, newAdj, 0L, 9, 2L, s, epoch = 2))
     assert(d1 != d2)
   }
 
@@ -197,7 +202,7 @@ class PicksSpec extends AnyFunSuite {
         val want = oracleRepick(oldAdj, newAdj, vid, t, curSrc, seed = s, epoch)
         assert(diff.repick(t, curSrc, s, epoch) == want,
           s"$kind: old=${oldAdj.toSeq} new=${newAdj.toSeq} t=$t src=$curSrc")
-        assert(Picks.repick(oldAdj, newAdj, vid, t, curSrc, s, epoch) == want)
+        assert(repick(oldAdj, newAdj, vid, t, curSrc, s, epoch) == want)
         kinds(kind) += 1
         if (curSrc == vid) kinds("curSrc == vid") += 1
         else if (!newAdj.contains(curSrc)) kinds("source deleted") += 1

@@ -81,6 +81,33 @@ class SparkCorrectionSpec extends AnyFunSuite with SparkSpec {
     assert(errs.isEmpty, errs.take(5).mkString("; "))
   }
 
+  test("a cascade many hops from the edit loads rows over several rounds and still matches local") {
+    // On a path a label reaches a vertex only through its neighbors. The
+    // edit re-picks only at vertices 0-2, from sources in 0-3, so the row of
+    // a label that changes at vertex v > 3 is found in the driver's
+    // (v - 3)-th round of closure loading.
+    val n = 60; val T = 200; val seed = 38L
+    val g0 = LocalGraph.fromEdges(n, (0 until n - 1).map(i => (i, i + 1)))
+    val g1 = g0.edited(Seq((0, 2)), Seq((0, 1)))
+    val before = LocalRSLPA.propagate(g0, T, seed).labels
+    val (local, dist, stats) = runBoth(g0, g1, T, seed, epoch = 1)
+    assertMatches(local, dist)
+    val far = (6 until n).filter(v => !before(v).sameElements(local.labels(v)))
+    assert(far.nonEmpty, "no label changed beyond vertex 5")
+    assert(stats.corrected == changedLabels(before, local.labels))
+  }
+
+  test("vertex ids whose label keys overflow are rejected on the driver") {
+    val sc = spark.sparkContext
+    val T = 10; val big = Correction.maxVertex(T) + 1
+    val st0 = SparkRSLPA.propagate(sc.parallelize(Seq((0L, Array(big)), (big, Array(0L)))), T, seed = 39)
+    val err = intercept[IllegalArgumentException] {
+      val isolated = sc.parallelize(Seq((0L, Array.empty[Long]), (big, Array.empty[Long])))
+      SparkCorrection.update(st0, isolated, T, 39, 1)
+    }
+    assert(err.getMessage.contains(s"vertex id $big is outside"), err.getMessage)
+  }
+
   private def changedLabels(before: Array[Array[Long]], after: Array[Array[Long]]): Long =
     before.indices.map(i => before(i).indices.count(t => before(i)(t) != after(i)(t)).toLong).sum
 
@@ -102,6 +129,9 @@ class SparkCorrectionSpec extends AnyFunSuite with SparkSpec {
       assert(eta > 0, s"batch $epoch changed no label")
       assert(localStats.corrected == eta, s"local corrected at batch $epoch")
       assert(distStats.corrected == eta, s"spark corrected at batch $epoch")
+      assert(distStats.repicked == localStats.repicked, s"repicked at batch $epoch")
+      assert(distStats.touched == localStats.touched, s"touched at batch $epoch")
+      assert(distStats.rounds == localStats.rounds, s"rounds at batch $epoch")
       g = g1; dist = dist1
     }
   }
