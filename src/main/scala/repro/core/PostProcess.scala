@@ -23,11 +23,6 @@ import scala.collection.mutable
   */
 object PostProcess {
 
-  /** Similarity of two memories: P(uniform draw from a == uniform draw from b). */
-  def similarity(a: Array[Long], b: Array[Long]): Double =
-    PostKernel.matches(PostKernel.labelCounts(a), PostKernel.labelCounts(b)).toDouble /
-      (a.length.toLong * b.length)
-
   /** Weight of every edge of `g`, in the order of `g.edges` (u < v). */
   def edgeWeights(g: LocalGraph, labels: Array[Array[Long]]): EdgeWeights = {
     val counts = labels.map(PostKernel.labelCounts)

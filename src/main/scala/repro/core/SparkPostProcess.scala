@@ -9,9 +9,10 @@ import repro.graph.ConnectedComponents
   * components with weight filtering — "we slightly change the existing
   * algorithm of finding connected components by adding filtering on edge
   * weights" (§V-B2): the τ1 filter is applied inline, never materializing
-  * the filtered graph. Weights and the τ1 search call the same kernels as
-  * the local engine ([[PostKernel]]), so both engines choose bit-identical
-  * thresholds from the same labels.
+  * the filtered graph, and [[ConnectedComponents.spark]] labels its
+  * components in one Kruskal-filtering pass. Weights and the τ1 search
+  * call the same kernels as the local engine ([[PostKernel]]), so both
+  * engines choose bit-identical thresholds from the same labels.
   */
 object SparkPostProcess {
 

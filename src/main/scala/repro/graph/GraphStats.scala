@@ -27,13 +27,4 @@ object GraphStats {
     e.unpersist()
     TableIIStats(nodes, numEdges, numEdges.toDouble / nodes, maxIn, maxOut)
   }
-
-  /** The same statistics computed locally — test oracle for [[tableII]]. */
-  def tableIILocal(directed: Seq[(Long, Long)]): TableIIStats = {
-    val e = directed.filter { case (s, d) => s != d }.distinct
-    val nodes = e.flatMap { case (s, d) => Seq(s, d) }.distinct.size.toLong
-    val maxOut = e.groupBy(_._1).values.map(_.size).max.toLong
-    val maxIn  = e.groupBy(_._2).values.map(_.size).max.toLong
-    TableIIStats(nodes, e.size.toLong, e.size.toDouble / nodes, maxIn, maxOut)
-  }
 }

@@ -6,14 +6,6 @@ package repro.metrics
   * neither a dust of micro-communities nor one giant component.
   */
 object SizeEntropy {
-  def of(sizes: Seq[Int], n: Int): Double = {
-    require(n > 0)
-    sizes.iterator.filter(_ > 0).map { s =>
-      val p = s.toDouble / n
-      -p * math.log(p)
-    }.sum
-  }
-
   /** Entropy of the communities of at least two vertices, given
     * `bySize(s)` = the number of communities of size `s`; summed in
     * ascending size order.

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.PostFixtures._
 import repro.graph.ConnectedComponents
-import repro.metrics.SizeEntropy
+import repro.metrics.SizeEntropyOracle
 import repro.util.SplitMix64
 
 /** The shared post-processing kernels against straightforward oracles. */
@@ -21,7 +21,7 @@ class PostKernelSpec extends AnyFunSuite {
     while (tau <= maxW + 1e-12) {
       val kept = w.iterator.collect { case (e, x) if x >= tau => e }.toSeq
       val sizes = ConnectedComponents.local(n, kept).groupBy(identity).values.map(_.length).filter(_ >= 2)
-      val ent = SizeEntropy.of(sizes.toSeq, n)
+      val ent = SizeEntropyOracle.of(sizes.toSeq, n)
       if (ent > bestEnt + 1e-12) { bestEnt = ent; best = tau }
       tau += eff
     }

@@ -9,35 +9,35 @@ class PostProcessSpec extends AnyFunSuite {
 
   test("similarity counts matching draws") {
     // a=(1,1,2), b=(1,2,2): P(equal) = (2*1 + 1*2)/9 = 4/9.
-    val s = PostProcess.similarity(Array(1L, 1L, 2L), Array(1L, 2L, 2L))
+    val s = similarity(Array(1L, 1L, 2L), Array(1L, 2L, 2L))
     assert(math.abs(s - 4.0 / 9) < 1e-12)
   }
 
   test("similarity of identical memories with one label is 1") {
-    assert(PostProcess.similarity(Array(3L, 3L), Array(3L, 3L)) == 1.0)
+    assert(similarity(Array(3L, 3L), Array(3L, 3L)) == 1.0)
   }
 
   test("similarity of disjoint memories is 0") {
-    assert(PostProcess.similarity(Array(1L, 2L), Array(3L, 4L)) == 0.0)
+    assert(similarity(Array(1L, 2L), Array(3L, 4L)) == 0.0)
   }
 
   test("similarity is symmetric") {
     val a = Array(1L, 2L, 2L, 5L); val b = Array(2L, 5L, 5L, 7L)
-    assert(PostProcess.similarity(a, b) == PostProcess.similarity(b, a))
+    assert(similarity(a, b) == similarity(b, a))
   }
 
   test("similarity matches a brute-force double loop") {
     val a = Array(1L, 2L, 3L, 2L, 1L); val b = Array(2L, 2L, 4L, 1L, 9L)
     var hits = 0
     for (x <- a; y <- b) if (x == y) hits += 1
-    assert(math.abs(PostProcess.similarity(a, b) - hits / 25.0) < 1e-12)
+    assert(math.abs(similarity(a, b) - hits / 25.0) < 1e-12)
     val rng = new SplitMix64(3)
     for (_ <- 0 until 50) {
       val c = Array.fill(1 + rng.nextInt(20))(rng.nextInt(6).toLong)
       val d = Array.fill(1 + rng.nextInt(20))(rng.nextInt(6).toLong)
       var n = 0
       for (x <- c; y <- d) if (x == y) n += 1
-      assert(PostProcess.similarity(c, d) == n.toDouble / (c.length * d.length))
+      assert(similarity(c, d) == n.toDouble / (c.length * d.length))
     }
   }
 

@@ -23,6 +23,26 @@ class ConnectedComponentsSpec extends AnyFunSuite with SparkSpec {
     comp
   }
 
+  /** Sparse ids, increasing in `v`, beyond the `Int` range. */
+  private def sparse(v: Int): Long = v * (1L << 33) + 5
+
+  /** [[ConnectedComponents.spark]] over `edges` cut into `parts` partitions;
+    * checks that each vertex appears once.
+    */
+  private def sparkCC(edges: Seq[(Long, Long)], parts: Int): Map[Long, Long] = {
+    val got = ConnectedComponents.spark(spark.sparkContext.parallelize(edges, parts)).collect()
+    assert(got.map(_._1).distinct.length == got.length, "a vertex appears twice")
+    got.toMap
+  }
+
+  /** BFS components of the vertices in `edges`, each mapped to its minimum
+    * sparse id ([[bfs]] labels a component by its smallest vertex).
+    */
+  private def bfsMin(n: Int, edges: Seq[(Int, Int)]): Map[Long, Long] = {
+    val comp = bfs(n, edges)
+    edges.flatMap { case (u, v) => Seq(u, v) }.map(v => sparse(v) -> sparse(comp(v))).toMap
+  }
+
   test("local: empty graph yields singletons") {
     val c = ConnectedComponents.local(4, Nil)
     assert(c.toSeq == Seq(0, 1, 2, 3))
@@ -88,12 +108,35 @@ class ConnectedComponentsSpec extends AnyFunSuite with SparkSpec {
     assert(got(10L) == 10L && got(12L) == 10L)
   }
 
-  test("spark CC throws when it hits its round cap") {
-    val edges = (0L until 63L).map(i => (i, i + 1))
-    val e = intercept[IllegalStateException] {
-      ConnectedComponents.hashToMin(spark.sparkContext.parallelize(edges), maxRounds = 2)
+  for (parts <- Seq(1, 3, 8); seed <- 20 until 23) {
+    test(s"spark CC equals BFS on a random graph with sparse ids (seed=$seed, $parts partitions)") {
+      val rng = new SplitMix64(seed)
+      val n = 80
+      val edges = (1 to 70).map(_ => (rng.nextInt(n), rng.nextInt(n)))
+      val got = sparkCC(edges.map { case (u, v) => (sparse(u), sparse(v)) }, parts)
+      assert(got == bfsMin(n, edges))
     }
-    assert(e.getMessage.contains("after 2 rounds"), e.getMessage)
+  }
+
+  for (parts <- Seq(1, 3, 8)) {
+    test(s"spark CC joins the 63-edge path with sparse ids across $parts partitions") {
+      val edges = (0 until 63).map(i => (i + 1, i))
+      val got = sparkCC(edges.map { case (u, v) => (sparse(u), sparse(v)) }, parts)
+      assert(got == bfsMin(64, edges))
+      assert(got.size == 64 && got.values.toSet == Set(sparse(0)))
+    }
+  }
+
+  test("spark CC keeps a vertex whose only edge is a self-loop") {
+    val edges = Seq((sparse(4), sparse(4)), (sparse(9), sparse(2)), (sparse(2), sparse(7)))
+    val got = sparkCC(edges, 3)
+    assert(got == Map(sparse(4) -> sparse(4), sparse(2) -> sparse(2), sparse(7) -> sparse(2), sparse(9) -> sparse(2)))
+  }
+
+  test("spark CC of empty input is empty, with or without partitions") {
+    val sc = spark.sparkContext
+    assert(ConnectedComponents.spark(sc.emptyRDD[(Long, Long)]).collect().isEmpty)
+    assert(ConnectedComponents.spark(sc.parallelize(Seq.empty[(Long, Long)], 4)).collect().isEmpty)
   }
 
   test("spark CC handles a long path (log-round convergence)") {

@@ -11,9 +11,18 @@ class GraphStatsSpec extends AnyFunSuite with SparkSpec {
     directed.toDF("src", "dst")
   }
 
+  /** The statistics of [[GraphStats.tableII]] computed locally, as its oracle. */
+  private def tableIILocal(directed: Seq[(Long, Long)]): TableIIStats = {
+    val e = directed.filter { case (s, d) => s != d }.distinct
+    val nodes = e.flatMap { case (s, d) => Seq(s, d) }.distinct.size.toLong
+    val maxOut = e.groupBy(_._1).values.map(_.size).max.toLong
+    val maxIn  = e.groupBy(_._2).values.map(_.size).max.toLong
+    TableIIStats(nodes, e.size.toLong, e.size.toDouble / nodes, maxIn, maxOut)
+  }
+
   test("tableII matches the local computation") {
     val got = GraphStats.tableII(spark, df)
-    val exp = GraphStats.tableIILocal(directed)
+    val exp = tableIILocal(directed)
     assert(got == exp)
   }
 
