@@ -2,27 +2,17 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.experiments.Figure7Experiments._
-import repro.util.BenchUtil
-import repro.util.BenchUtil.f3
 
-/** Fig. 7 (as numeric tables) — overlapping-NMI quality of SLPA vs rSLPA
-  * on LFR graphs, at the paper's parameter defaults (N=10,000, k=30,
-  * maxk=100, om=2, on=0.1N, μ=0.1; SLPA T=100 τ=0.2, rSLPA T=200).
-  *
-  * Averaging runs default to REPRO_RUNS (2; the paper averages 10).
-  * Paper values are read off Fig. 7 and recorded in EXPERIMENTS.md; the
+/** Fig. 7 (as numeric tables) as defined by `Figure7Experiments`. Paper
+  * values are read off Fig. 7 and recorded in EXPERIMENTS.md; the
   * assertions here encode the *shape* the paper reports.
   */
 class Figure7Bench extends AnyFunSuite {
 
-  private val runs = sys.env.getOrElse("REPRO_RUNS", "2").toInt
-
   test("Fig. 7a: rSLPA converges — stable NMI for T >= 200") {
-    val rows = convergence(Seq(10000, 20000, 50000), Seq(100, 200, 400), runs = 1)
-    BenchUtil.printTable("Fig. 7a — rSLPA convergence (NMI vs T); paper: stable >=0.8 for T>=200",
-      Seq("N", "T", "NMI(rSLPA)"),
-      rows.map { case (n, t, s) => Seq(n.toString, t.toString, f3(s)) })
-    for (n <- Seq(10000, 20000, 50000)) {
+    val rows = Convergence.run()
+    Convergence.print(rows)
+    for (n <- Convergence.Ns) {
       val at200 = rows.collectFirst { case (`n`, 200, s) => s }.get
       val at400 = rows.collectFirst { case (`n`, 400, s) => s }.get
       assert(at200 > 0.6, s"N=$n T=200 NMI=$at200 too low")
@@ -31,10 +21,8 @@ class Figure7Bench extends AnyFunSuite {
   }
 
   test("Fig. 7b: both algorithms keep high, stable NMI as N grows") {
-    val rows = vsN(Seq(10000, 20000, 30000, 40000, 50000), runs)
-    BenchUtil.printTable("Fig. 7b — NMI vs N; paper: both ~0.95, difference small",
-      Seq("N", "NMI(SLPA)", "NMI(rSLPA)"),
-      rows.map { case (v, s, r) => Seq(v.toInt.toString, f3(s), f3(r)) })
+    val rows = vsN.run()
+    vsN.print(rows)
     rows.foreach { case (n, s, r) =>
       assert(s > 0.8, s"SLPA NMI at N=$n is $s")
       assert(r > 0.6, s"rSLPA NMI at N=$n is $r")
@@ -42,10 +30,8 @@ class Figure7Bench extends AnyFunSuite {
   }
 
   test("Fig. 7c: NMI grows with density k and plateaus") {
-    val rows = vsK(Seq(10, 30, 50, 70), runs)
-    BenchUtil.printTable("Fig. 7c — NMI vs k; paper: grows with k, flat for k>=50",
-      Seq("k", "NMI(SLPA)", "NMI(rSLPA)"),
-      rows.map { case (v, s, r) => Seq(v.toInt.toString, f3(s), f3(r)) })
+    val rows = vsK.run()
+    vsK.print(rows)
     val atK10r = rows.head._3; val atK50r = rows(2)._3
     assert(atK50r >= atK10r - 0.05, s"rSLPA should not degrade with density: k10=$atK10r k50=$atK50r")
     rows.drop(1).foreach { case (k, s, r) =>
@@ -54,10 +40,8 @@ class Figure7Bench extends AnyFunSuite {
   }
 
   test("Fig. 7d: scores stay high as mixing mu grows; rSLPA drops slowly") {
-    val rows = vsMu(Seq(0.1, 0.2, 0.3), runs)
-    BenchUtil.printTable("Fig. 7d — NMI vs mu; paper: SLPA ~flat, rSLPA drops slowly",
-      Seq("mu", "NMI(SLPA)", "NMI(rSLPA)"),
-      rows.map { case (v, s, r) => Seq(v.toString, f3(s), f3(r)) })
+    val rows = vsMu.run()
+    vsMu.print(rows)
     rows.foreach { case (mu, s, r) =>
       assert(s > 0.75, s"SLPA at mu=$mu: $s")
       assert(r > 0.45, s"rSLPA at mu=$mu: $r")
@@ -65,19 +49,15 @@ class Figure7Bench extends AnyFunSuite {
   }
 
   test("Fig. 7e: NMI decreases with om; rSLPA holds up for larger om") {
-    val rows = vsOm(Seq(2, 3, 4, 5), runs)
-    BenchUtil.printTable("Fig. 7e — NMI vs om; paper: both decrease; rSLPA better for om>3",
-      Seq("om", "NMI(SLPA)", "NMI(rSLPA)"),
-      rows.map { case (v, s, r) => Seq(v.toInt.toString, f3(s), f3(r)) })
+    val rows = vsOm.run()
+    vsOm.print(rows)
     val s2 = rows.head._2; val s5 = rows.last._2
     assert(s5 < s2 + 0.02, s"SLPA should decrease with om: om2=$s2 om5=$s5")
   }
 
   test("Fig. 7f: NMI decreases as overlapping vertices increase") {
-    val rows = vsOn(Seq(1000, 2000, 3000), runs)
-    BenchUtil.printTable("Fig. 7f — NMI vs on; paper: both decrease with on",
-      Seq("on", "NMI(SLPA)", "NMI(rSLPA)"),
-      rows.map { case (v, s, r) => Seq(v.toInt.toString, f3(s), f3(r)) })
+    val rows = vsOn.run()
+    vsOn.print(rows)
     val first = rows.head; val last = rows.last
     assert(last._2 < first._2 + 0.02, s"SLPA should decrease with on: ${first._2} -> ${last._2}")
     assert(last._3 < first._3 + 0.1, s"rSLPA should not improve with on: ${first._3} -> ${last._3}")

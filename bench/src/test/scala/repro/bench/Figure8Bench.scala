@@ -2,37 +2,17 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.experiments.EfficiencyExperiments
-import repro.util.BenchUtil
-import repro.util.BenchUtil.f2
+import repro.experiments.EfficiencyExperiments.Figure8
 
-/** Fig. 8 (as a numeric table) — running time of SLPA vs rSLPA on a static
-  * web graph, label propagation and post-processing separately.
-  *
-  * Scale-down (DESIGN.md): paper runs eu-2015-tpd (170M edges) with
-  * SLPA T=100 / rSLPA T=200 on 7 servers; we run the RMAT substitute with
-  * T=20 / T=40 on `local[*]` — the 1:2 iteration ratio is preserved so
-  * per-iteration comparisons carry over.
-  *
-  * Paper shape: rSLPA label propagation >2× faster overall (>5× per
-  * iteration); SLPA post-processing much faster; totals comparable with
-  * rSLPA a bit ahead.
+/** Fig. 8 as defined by [[Figure8]]. Paper shape: rSLPA label propagation
+  * >2× faster overall (>5× per iteration); SLPA post-processing much
+  * faster; totals comparable with rSLPA a bit ahead.
   */
 class Figure8Bench extends AnyFunSuite with SparkSpec {
 
   test("Fig. 8: static running time of SLPA vs rSLPA") {
-    val g = EfficiencyExperiments.webGraph(
-      scale = sys.env.getOrElse("REPRO_F8_SCALE", "17").toInt,
-      rawEdges = sys.env.getOrElse("REPRO_F8_EDGES", "1500000").toLong,
-      seed = 2015)
-    println(s"web-graph substitute: |V|=${g.n} |E|=${g.numEdges}")
-    val rows = EfficiencyExperiments.figure8(spark, g,
-      slpaT = sys.env.getOrElse("REPRO_F8_T", "20").toInt, seed = 8)
-    BenchUtil.printTable(
-      "Fig. 8 — static running time (seconds); paper: rSLPA prop >2x faster, SLPA post much faster",
-      Seq("algorithm", "iterations", "label prop (s)", "per-iter (s)", "post-proc (s)", "total (s)"),
-      rows.map(r => Seq(r.algo, r.iters.toString, f2(r.propagateSec),
-        f2(r.perIterSec), f2(r.postSec), f2(r.totalSec))))
+    val rows = Figure8.run(spark)
+    Figure8.print(rows)
 
     val slpa = rows.find(_.algo == "SLPA").get
     val rslpa = rows.find(_.algo == "rSLPA").get

@@ -2,36 +2,17 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.experiments.EfficiencyExperiments
-import repro.util.BenchUtil
-import repro.util.BenchUtil.f2
+import repro.experiments.EfficiencyExperiments.Figure9
 
-/** Fig. 9 (as a numeric table) — rSLPA incremental updating vs re-running
-  * from scratch, per edit-batch size (half insertions / half deletions).
-  *
-  * Scale-down (DESIGN.md): the paper sweeps batches 100..100,000 on a
-  * 170M-edge graph; we sweep 100..10,000 on the ~100× smaller substitute
-  * so the batch/|E| ratios cover the same range.
-  *
-  * Paper shape: incremental is faster than scratch at every batch size and
-  * its running time grows *sublinearly* in the batch size.
+/** Fig. 9 as defined by [[Figure9]]. Paper shape: incremental is faster
+  * than scratch at every batch size and its running time grows
+  * *sublinearly* in the batch size.
   */
 class Figure9Bench extends AnyFunSuite with SparkSpec {
 
   test("Fig. 9: incremental updating vs from scratch") {
-    val g = EfficiencyExperiments.webGraph(
-      scale = sys.env.getOrElse("REPRO_F9_SCALE", "14").toInt,
-      rawEdges = sys.env.getOrElse("REPRO_F9_EDGES", "200000").toLong,
-      seed = 2015)
-    println(s"web-graph substitute: |V|=${g.n} |E|=${g.numEdges}")
-    val batches = Seq(100, 1000, 10000)
-    val rows = EfficiencyExperiments.figure9(spark, g,
-      T = sys.env.getOrElse("REPRO_F9_T", "200").toInt, seed = 9, batches)
-    BenchUtil.printTable(
-      "Fig. 9 — incremental vs scratch (seconds); paper: incremental wins, sublinear in batch",
-      Seq("batch", "incremental (s)", "scratch (s)", "speedup", "repicked", "corrected"),
-      rows.map(r => Seq(r.batchSize.toString, f2(r.incrementalSec), f2(r.scratchSec),
-        f2(r.scratchSec / r.incrementalSec), r.repicked.toString, r.corrected.toString)))
+    val rows = Figure9.run(spark)
+    Figure9.print(rows)
 
     // Paper: incremental beats from-scratch (clearly so for small batches).
     val small = rows.head
@@ -39,7 +20,7 @@ class Figure9Bench extends AnyFunSuite with SparkSpec {
       s"incremental ${small.incrementalSec}s should beat scratch ${small.scratchSec}s at batch=${small.batchSize}")
     // Paper: sublinear growth — time ratio far below the batch-size ratio.
     val timeRatio = rows.last.incrementalSec / rows.head.incrementalSec
-    val batchRatio = batches.last.toDouble / batches.head
+    val batchRatio = Figure9.Batches.last.toDouble / Figure9.Batches.head
     assert(timeRatio < batchRatio / 2,
       s"growth not sublinear: time x$timeRatio for batch x$batchRatio")
     // The touched-label counts must grow with the batch, also sublinearly.

@@ -1,47 +1,16 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.experiments.Figure7Experiments
-import repro.lfr.LFRGenerator
-import repro.util.BenchUtil
+import repro.experiments.TableI
 
-/** Table I — the LFR parameter table, plus verification that the generated
-  * benchmark graph honors each parameter at the paper's default setting
-  * (N=10,000, k=30, maxk=100, om=2, on=0.1N, μ=0.1).
+/** Table I as defined by [[TableI]]: the generated benchmark graph must
+  * honor each parameter at the paper's default setting.
   */
 class TableIBench extends AnyFunSuite {
 
   test("Table I: parameters and generated-graph adherence") {
-    val p = Figure7Experiments.defaults()
-    BenchUtil.printTable("Table I — LFR parameters (paper defaults)",
-      Seq("parameter", "description", "value"),
-      Seq(
-        Seq("N", "the number of vertices", p.n.toString),
-        Seq("maxk", "the max degree", p.maxDeg.toString),
-        Seq("k", "the average degree", p.avgDeg.toString),
-        Seq("mu", "the mixing parameter", p.mu.toString),
-        Seq("on", "the number of overlapping vertices", p.on.toString),
-        Seq("om", "memberships of overlapping vertices", p.om.toString),
-      ))
-
-    val inst = LFRGenerator.generate(p)
-    val avg = 2.0 * inst.graph.numEdges / inst.graph.n
-    val maxDeg = (0 until inst.graph.n).map(inst.graph.degree).max
-    val multi = inst.membershipOf.count(_.size >= 2)
-    val m = inst.membershipOf
-    val internal = inst.graph.edges.count { case (u, v) => m(u).exists(m(v).contains) }
-    val mixing = 1.0 - internal.toDouble / inst.graph.numEdges
-
-    BenchUtil.printTable("Generated graph vs Table I targets",
-      Seq("statistic", "target", "generated"),
-      Seq(
-        Seq("vertices", p.n.toString, inst.graph.n.toString),
-        Seq("avg degree k", p.avgDeg.toString, BenchUtil.f2(avg)),
-        Seq("max degree maxk", s"<= ${p.maxDeg}", maxDeg.toString),
-        Seq("overlapping vertices on", p.on.toString, multi.toString),
-        Seq("mixing mu", p.mu.toString, BenchUtil.f3(mixing)),
-        Seq("ground-truth communities", "-", inst.communities.size.toString),
-      ))
+    val result @ TableI.Result(p, inst, avg, maxDeg, multi, mixing) = TableI.run()
+    TableI.print(result)
 
     assert(inst.graph.n == p.n)
     assert(math.abs(avg - p.avgDeg) < p.avgDeg * 0.25)

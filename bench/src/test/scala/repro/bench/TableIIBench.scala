@@ -2,30 +2,17 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.graph.{GraphGen, GraphStats}
-import repro.util.BenchUtil
+import repro.experiments.TableII
 
-/** Table II — statistics of the web-graph dataset used by the efficiency
-  * experiments. The paper reports the eu-2015-tpd crawl (6.65M nodes,
-  * 170M edges, on a 7-server cluster); our substitute is an RMAT
-  * power-law graph ~120× smaller, sized for `local[*]` (DESIGN.md).
-  * The reproduced *shape*: heavy-tailed in/out-degrees (max in/out degree
-  * orders of magnitude above the average) at a comparable average degree.
+/** Table II as defined by [[TableII]]. The reproduced *shape*: heavy-tailed
+  * in/out-degrees (max in/out degree orders of magnitude above the
+  * average) at a comparable average degree.
   */
 class TableIIBench extends AnyFunSuite with SparkSpec {
 
   test("Table II: web-graph substitute statistics vs the paper's dataset") {
-    val directed = GraphGen.rmatEdges(spark, scale = 16, numEdges = 1200000L, seed = 2015)
-    val s = GraphStats.tableII(spark, directed)
-    BenchUtil.printTable("Table II — web graph statistics",
-      Seq("statistic", "paper (eu-2015-tpd)", "ours (RMAT substitute)"),
-      Seq(
-        Seq("# nodes", "6,650,532", s.nodes.toString),
-        Seq("# edges", "170,145,510", s.edges.toString),
-        Seq("avg. degree", "25.584", BenchUtil.f3(s.avgDegree)),
-        Seq("max in-degree", "74,129", s.maxInDegree.toString),
-        Seq("max out-degree", "398,599", s.maxOutDegree.toString),
-      ))
+    val s = TableII.run(spark)
+    TableII.print(s)
 
     // Shape assertions: power-law degree profile like the paper's crawl.
     assert(s.nodes > 10000, "substitute should be non-trivial")

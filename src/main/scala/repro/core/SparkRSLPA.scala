@@ -113,9 +113,8 @@ object SparkRSLPA {
   }
 
   /** Full propagation from scratch, with records. */
-  def propagate(adj: RDD[(Long, Array[Long])], T: Int, seed: Long,
-                numPartitions: Int = 0): RDD[(Long, RVState)] = {
-    val parts = if (numPartitions > 0) numPartitions else adj.sparkContext.defaultParallelism
+  def propagate(adj: RDD[(Long, Array[Long])], T: Int, seed: Long): RDD[(Long, RVState)] = {
+    val parts = adj.sparkContext.defaultParallelism
     withRecords(propagateLabels(adj, T, seed, parts), T, seed, parts)
   }
 }

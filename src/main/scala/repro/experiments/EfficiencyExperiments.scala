@@ -3,99 +3,126 @@ package repro.experiments
 import org.apache.spark.sql.SparkSession
 import repro.core.{SparkCorrection, SparkPostProcess, SparkRSLPA}
 import repro.dynamic.EditBatch
-import repro.graph.{GraphGen, GraphOps, LocalGraph}
+import repro.graph.{GraphGen, GraphOps}
 import repro.slpa.SparkSLPA
-import repro.util.BenchUtil.timed
+import repro.util.BenchUtil
+import repro.util.BenchUtil.{f2, timed}
 
-/** Drivers for the paper's real-data efficiency evaluation (Figs. 8–9) on
-  * the distributed engines.
-  *
-  * Dataset substitution (DESIGN.md): the paper uses the eu-2015-tpd crawl
-  * (6.65M nodes / 170M edges) on 7 servers; we use an RMAT power-law
-  * substitute sized for `local[*]`, with iteration counts scaled down by
-  * the same factor for both algorithms so the paper's 1:2 SLPA:rSLPA
-  * iteration ratio (T=100 vs T=200) is preserved.
+/** The paper's efficiency evaluation (Figs. 8–9) on the distributed
+  * engines, over an RMAT power-law substitute for the eu-2015-tpd crawl
+  * (6.65M nodes / 170M edges on 7 servers) sized for `local[*]` (DESIGN.md).
   */
 object EfficiencyExperiments {
-
-  /** The web-graph substitute at bench scale. */
-  def webGraph(scale: Int, rawEdges: Long, seed: Long): LocalGraph =
-    GraphGen.webGraphLocal(scale, rawEdges, seed)._2
 
   final case class Figure8Row(algo: String, iters: Int,
                               propagateSec: Double, perIterSec: Double,
                               postSec: Double, totalSec: Double)
 
   /** Fig. 8 — static running time: label propagation and post-processing
-    * for SLPA (T iterations) and rSLPA (2T iterations).
+    * for SLPA (T iterations) and rSLPA (2T: the paper's 100:200 ratio, both
+    * scaled down). Scale, raw edges and T: `REPRO_F8_SCALE/EDGES/T`.
     */
-  def figure8(spark: SparkSession, g: LocalGraph, slpaT: Int, seed: Long): Seq[Figure8Row] = {
-    val sc = spark.sparkContext
-    val rslpaT = 2 * slpaT
+  object Figure8 {
+    val Scale = sys.env.getOrElse("REPRO_F8_SCALE", "17").toInt
+    val RawEdges = sys.env.getOrElse("REPRO_F8_EDGES", "1500000").toLong
+    val SlpaT = sys.env.getOrElse("REPRO_F8_T", "20").toInt
 
-    val (slpaMem, slpaProp) = timed {
-      val m = SparkSLPA.propagate(GraphOps.adjacencyRDD(sc, g), slpaT, seed)
-      m.persist(); m.count(); m
-    }
-    // SLPA post-processing: per-vertex thresholding (a single map + the
-    // label->community grouping) — cheap, as the paper observes.
-    val (_, slpaPost) = timed {
-      slpaMem.flatMap { case (v, mem) =>
-        val counts = mem.groupBy(identity).view.mapValues(_.length)
-        counts.collect { case (l, c) if c.toDouble / mem.length >= 0.2 => (l, v) }
-      }.groupByKey().filter(_._2.size >= 2).count()
+    def run(spark: SparkSession): Seq[Figure8Row] = {
+      val g = GraphGen.webGraphLocal(Scale, RawEdges, seed = 2015)._2
+      println(s"web-graph substitute: |V|=${g.n} |E|=${g.numEdges}")
+      val sc = spark.sparkContext
+      val seed = 8L
+      val rslpaT = 2 * SlpaT
+
+      val (slpaMem, slpaProp) = timed {
+        val m = SparkSLPA.propagate(GraphOps.adjacencyRDD(sc, g), SlpaT, seed)
+        m.persist(); m.count(); m
+      }
+      // SLPA post-processing: per-vertex thresholding (a single map + the
+      // label->community grouping) — cheap, as the paper observes.
+      val (_, slpaPost) = timed {
+        slpaMem.flatMap { case (v, mem) =>
+          val counts = mem.groupBy(identity).view.mapValues(_.length)
+          counts.collect { case (l, c) if c.toDouble / mem.length >= Figure7Experiments.SlpaTau => (l, v) }
+        }.groupByKey().filter(_._2.size >= 2).count()
+      }
+
+      val (rState, rProp) = timed {
+        val st = SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g), rslpaT, seed + 1)
+        st.count(); st
+      }
+      // rSLPA post-processing: edge weights + τ selection + a CC run — the
+      // expensive part, as the paper observes.
+      val (_, rPost) = timed {
+        SparkPostProcess.extract(rState.mapValues(_.labels), GraphOps.edgesRDD(sc, g),
+          rslpaT + 1).assignments.count()
+      }
+
+      Seq(
+        Figure8Row("SLPA", SlpaT, slpaProp, slpaProp / SlpaT, slpaPost, slpaProp + slpaPost),
+        Figure8Row("rSLPA", rslpaT, rProp, rProp / rslpaT, rPost, rProp + rPost)
+      )
     }
 
-    val (rState, rProp) = timed {
-      val st = SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g), rslpaT, seed + 1)
-      st.count(); st
-    }
-    // rSLPA post-processing: edge weights + τ selection + a CC run — the
-    // expensive part, as the paper observes.
-    val (_, rPost) = timed {
-      SparkPostProcess.extract(rState.mapValues(_.labels), GraphOps.edgesRDD(sc, g),
-        rslpaT + 1).assignments.count()
-    }
-
-    Seq(
-      Figure8Row("SLPA", slpaT, slpaProp, slpaProp / slpaT, slpaPost, slpaProp + slpaPost),
-      Figure8Row("rSLPA", rslpaT, rProp, rProp / rslpaT, rPost, rProp + rPost)
-    )
+    def print(rows: Seq[Figure8Row]): Unit =
+      BenchUtil.printTable(
+        "Fig. 8 — static running time (seconds); paper: rSLPA prop >2x faster, SLPA post much faster",
+        Seq("algorithm", "iterations", "label prop (s)", "per-iter (s)", "post-proc (s)", "total (s)"),
+        rows.map(r => Seq(r.algo, r.iters.toString, f2(r.propagateSec),
+          f2(r.perIterSec), f2(r.postSec), f2(r.totalSec))))
   }
 
   final case class Figure9Row(batchSize: Int, incrementalSec: Double,
                               scratchSec: Double, repicked: Long, corrected: Long)
 
-  /** Fig. 9 — incremental updating vs running from scratch, per batch size.
-    * Batches are half insertions / half deletions picked uniformly (§V-B1).
+  /** Fig. 9 — incremental updating vs running from scratch per batch size,
+    * half insertions / half deletions picked uniformly (§V-B1); the paper's
+    * 100..100,000 on 170M edges becomes 100..10,000, so the batch/|E| ratios
+    * cover the same range. Scale, raw edges and T: `REPRO_F9_SCALE/EDGES/T`.
     */
-  def figure9(spark: SparkSession, g: LocalGraph, T: Int, seed: Long,
-              batchSizes: Seq[Int]): Seq[Figure9Row] = {
-    val sc = spark.sparkContext
-    val base = SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g), T, seed)
-    base.persist(); base.count()
+  object Figure9 {
+    val Scale = sys.env.getOrElse("REPRO_F9_SCALE", "14").toInt
+    val RawEdges = sys.env.getOrElse("REPRO_F9_EDGES", "200000").toLong
+    val T = sys.env.getOrElse("REPRO_F9_T", "200").toInt
+    val Batches = Seq(100, 1000, 10000)
 
-    // Warm-up pass (JIT + shuffle infrastructure) so the first measured
-    // batch is not charged for first-touch costs.
-    locally {
-      val wb = EditBatch.halfAndHalf(g, 10, seed = seed + 5)
-      val gw = g.edited(wb.insertions, wb.deletions)
-      SparkCorrection.update(base, GraphOps.adjacencyRDD(sc, gw), T, seed, epoch = 999)._1.count()
+    def run(spark: SparkSession): Seq[Figure9Row] = {
+      val g = GraphGen.webGraphLocal(Scale, RawEdges, seed = 2015)._2
+      println(s"web-graph substitute: |V|=${g.n} |E|=${g.numEdges}")
+      val sc = spark.sparkContext
+      val seed = 9L
+      val base = SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g), T, seed)
+      base.persist(); base.count()
+
+      // Warm-up pass (JIT + shuffle infrastructure) so the first measured
+      // batch is not charged for first-touch costs.
+      locally {
+        val wb = EditBatch.halfAndHalf(g, 10, seed = seed + 5)
+        val gw = g.edited(wb.insertions, wb.deletions)
+        SparkCorrection.update(base, GraphOps.adjacencyRDD(sc, gw), T, seed, epoch = 999)._1.count()
+      }
+
+      Batches.zipWithIndex.map { case (b, i) =>
+        val batch = EditBatch.halfAndHalf(g, b, seed = seed + 31 * (i + 1))
+        val g1 = g.edited(batch.insertions, batch.deletions)
+        val ((_, stats), incSec) = timed {
+          val (st, s) = SparkCorrection.update(base, GraphOps.adjacencyRDD(sc, g1),
+            T, seed, epoch = i + 1)
+          st.count()
+          (st, s)
+        }
+        val (_, scratchSec) = timed {
+          SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g1), T, seed + 997 + i).count()
+        }
+        Figure9Row(b, incSec, scratchSec, stats.repicked, stats.corrected)
+      }
     }
 
-    batchSizes.zipWithIndex.map { case (b, i) =>
-      val batch = EditBatch.halfAndHalf(g, b, seed = seed + 31 * (i + 1))
-      val g1 = g.edited(batch.insertions, batch.deletions)
-      val ((_, stats), incSec) = timed {
-        val (st, s) = SparkCorrection.update(base, GraphOps.adjacencyRDD(sc, g1),
-          T, seed, epoch = i + 1)
-        st.count()
-        (st, s)
-      }
-      val (_, scratchSec) = timed {
-        SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g1), T, seed + 997 + i).count()
-      }
-      Figure9Row(b, incSec, scratchSec, stats.repicked, stats.corrected)
-    }
+    def print(rows: Seq[Figure9Row]): Unit =
+      BenchUtil.printTable(
+        "Fig. 9 — incremental vs scratch (seconds); paper: incremental wins, sublinear in batch",
+        Seq("batch", "incremental (s)", "scratch (s)", "speedup", "repicked", "corrected"),
+        rows.map(r => Seq(r.batchSize.toString, f2(r.incrementalSec), f2(r.scratchSec),
+          f2(r.scratchSec / r.incrementalSec), r.repicked.toString, r.corrected.toString)))
   }
 }

@@ -1,17 +1,18 @@
 package repro.experiments
 
 import repro.core.LocalRSLPA
+import repro.graph.LocalGraph
 import repro.lfr.{LFRGenerator, LFRParams}
 import repro.metrics.OverlappingNMI
 import repro.slpa.LocalSLPA
+import repro.util.BenchUtil
+import repro.util.BenchUtil.{f3, runs}
 
-/** Drivers for the paper's synthetic-data evaluation (Fig. 7a–7f):
-  * NMI of rSLPA and SLPA on LFR graphs under parameter sweeps.
-  *
-  * Paper settings (§V-A): defaults N=10,000, k=30, maxk=100, om=2,
-  * on=0.1N, μ=0.1; SLPA T=100 with τ=0.2; rSLPA T=200 with τ1/τ2 from
-  * Eqs. 1–2; NMI averaged over 10 runs (we default to `runs` = 2 and
-  * record the choice in EXPERIMENTS.md).
+/** Fig. 7a–7f as numeric tables: NMI of rSLPA and SLPA on LFR graphs
+  * under the paper's parameter sweeps (§V-A: SLPA T=100 with τ=0.2; rSLPA
+  * T=200 with τ1/τ2 from Eqs. 1–2), on the local engines, which the Spark
+  * engines match bit for bit. The paper averages 10 runs; we average
+  * [[BenchUtil.runs]], 1 for Fig. 7a (EXPERIMENTS.md).
   */
 object Figure7Experiments {
 
@@ -24,55 +25,69 @@ object Figure7Experiments {
   val SlpaTau = 0.2
   val RslpaT = 200
 
-  /** Average NMI of rSLPA over `runs` independent graphs/seeds. */
-  def rslpaNmi(p: LFRParams, T: Int, runs: Int, seed0: Long): Double = {
-    val scores = (0 until runs).map { r =>
+  /** Average NMI of `detect(graph, r)` over `runs` independent LFR graphs. */
+  private def meanNmi(p: LFRParams, runs: Int)(detect: (LocalGraph, Int) => Seq[Set[Int]]): Double =
+    (0 until runs).map { r =>
       val inst = LFRGenerator.generate(p.copy(seed = p.seed + 101 * r))
-      val cover = LocalRSLPA.detect(inst.graph, T, seed = seed0 + 13 * r)
-      OverlappingNMI.score(cover.map(_.toSet), inst.communities, inst.graph.n)
-    }
-    scores.sum / runs
-  }
+      OverlappingNMI.score(detect(inst.graph, r), inst.communities, inst.graph.n)
+    }.sum / runs
+
+  /** Average NMI of rSLPA over `runs` independent graphs/seeds. */
+  def rslpaNmi(p: LFRParams, T: Int, runs: Int, seed0: Long): Double =
+    meanNmi(p, runs)((g, r) => LocalRSLPA.detect(g, T, seed = seed0 + 13 * r))
 
   /** Average NMI of SLPA over `runs` independent graphs/seeds. */
-  def slpaNmi(p: LFRParams, runs: Int, seed0: Long): Double = {
-    val scores = (0 until runs).map { r =>
-      val inst = LFRGenerator.generate(p.copy(seed = p.seed + 101 * r))
-      val cover = LocalSLPA.detect(inst.graph, SlpaT, SlpaTau, seed = seed0 + 17 * r)
-      OverlappingNMI.score(cover.map(_.toSet), inst.communities, inst.graph.n)
-    }
-    scores.sum / runs
+  def slpaNmi(p: LFRParams, runs: Int, seed0: Long): Double =
+    meanNmi(p, runs)((g, r) => LocalSLPA.detect(g, SlpaT, SlpaTau, seed = seed0 + 17 * r))
+
+  /** Fig. 7a — rSLPA convergence: NMI vs T for several N, one run each; rows (N, T, NMI). */
+  object Convergence {
+    val Ns = Seq(10000, 20000, 50000)
+    val Ts = Seq(100, 200, 400)
+
+    def run(): Seq[(Int, Int, Double)] =
+      for (n <- Ns; t <- Ts) yield {
+        val p = defaults().copy(n = n, on = n / 10)
+        (n, t, rslpaNmi(p, t, runs = 1, seed0 = 7000 + n + t))
+      }
+
+    def print(rows: Seq[(Int, Int, Double)]): Unit =
+      BenchUtil.printTable("Fig. 7a — rSLPA convergence (NMI vs T); paper: stable >=0.8 for T>=200",
+        Seq("N", "T", "NMI(rSLPA)"),
+        rows.map { case (n, t, s) => Seq(n.toString, t.toString, f3(s)) })
   }
 
-  /** Fig. 7a — rSLPA convergence: NMI vs T for several N. */
-  def convergence(ns: Seq[Int], ts: Seq[Int], runs: Int): Seq[(Int, Int, Double)] =
-    for (n <- ns; t <- ts) yield {
-      val p = defaults().copy(n = n, on = n / 10)
-      (n, t, rslpaNmi(p, t, runs, seed0 = 7000 + n + t))
-    }
+  /** Fig. 7b–7f — one LFR parameter, set by `mod`, swept over `values`;
+    * rows (value, NMI(SLPA), NMI(rSLPA)).
+    */
+  final class Sweep(title: String, column: String, values: Seq[Double], show: Double => String,
+                    mod: (LFRParams, Double) => LFRParams, seedBase: Long) {
+    def run(): Seq[(Double, Double, Double)] =
+      values.map { v =>
+        val p = mod(defaults(), v)
+        (v, slpaNmi(p, runs, seedBase + (v * 100).toLong),
+          rslpaNmi(p, RslpaT, runs, seedBase + 50 + (v * 100).toLong))
+      }
 
-  /** Fig. 7b–7f — one row per swept value: (value, slpaNmi, rslpaNmi). */
-  def sweep(values: Seq[Double], mod: (LFRParams, Double) => LFRParams,
-            runs: Int, seedBase: Long): Seq[(Double, Double, Double)] =
-    values.map { v =>
-      val p = mod(defaults(), v)
-      val s = slpaNmi(p, runs, seedBase + (v * 100).toLong)
-      val r = rslpaNmi(p, RslpaT, runs, seedBase + 50 + (v * 100).toLong)
-      (v, s, r)
-    }
+    def print(rows: Seq[(Double, Double, Double)]): Unit =
+      BenchUtil.printTable(title, Seq(column, "NMI(SLPA)", "NMI(rSLPA)"),
+        rows.map { case (v, s, r) => Seq(show(v), f3(s), f3(r)) })
+  }
 
-  def vsN(ns: Seq[Int], runs: Int): Seq[(Double, Double, Double)] =
-    sweep(ns.map(_.toDouble), (p, v) => p.copy(n = v.toInt, on = v.toInt / 10), runs, 100)
+  private val whole: Double => String = _.toInt.toString
 
-  def vsK(ks: Seq[Int], runs: Int): Seq[(Double, Double, Double)] =
-    sweep(ks.map(_.toDouble), (p, v) => p.copy(avgDeg = v), runs, 200)
+  val vsN = new Sweep("Fig. 7b — NMI vs N; paper: both ~0.95, difference small", "N",
+    Seq(10000, 20000, 30000, 40000, 50000), whole, (p, v) => p.copy(n = v.toInt, on = v.toInt / 10), 100)
 
-  def vsMu(mus: Seq[Double], runs: Int): Seq[(Double, Double, Double)] =
-    sweep(mus, (p, v) => p.copy(mu = v), runs, 300)
+  val vsK = new Sweep("Fig. 7c — NMI vs k; paper: grows with k, flat for k>=50", "k",
+    Seq(10, 30, 50, 70), whole, (p, v) => p.copy(avgDeg = v), 200)
 
-  def vsOm(oms: Seq[Int], runs: Int): Seq[(Double, Double, Double)] =
-    sweep(oms.map(_.toDouble), (p, v) => p.copy(om = v.toInt), runs, 400)
+  val vsMu = new Sweep("Fig. 7d — NMI vs mu; paper: SLPA ~flat, rSLPA drops slowly", "mu",
+    Seq(0.1, 0.2, 0.3), _.toString, (p, v) => p.copy(mu = v), 300)
 
-  def vsOn(ons: Seq[Int], runs: Int): Seq[(Double, Double, Double)] =
-    sweep(ons.map(_.toDouble), (p, v) => p.copy(on = v.toInt), runs, 500)
+  val vsOm = new Sweep("Fig. 7e — NMI vs om; paper: both decrease; rSLPA better for om>3", "om",
+    Seq(2, 3, 4, 5), whole, (p, v) => p.copy(om = v.toInt), 400)
+
+  val vsOn = new Sweep("Fig. 7f — NMI vs on; paper: both decrease with on", "on",
+    Seq(1000, 2000, 3000), whole, (p, v) => p.copy(on = v.toInt), 500)
 }

@@ -1,7 +1,6 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.util.{Rng, SplitMix64}
 
 /** Synthetic graph generators.
@@ -11,7 +10,7 @@ import repro.util.{Rng, SplitMix64}
   * an RMAT-style power-law generator (Chakrabarti et al., 2004): recursive
   * quadrant sampling with probabilities (a, b, c, d) produces the
   * heavy-tailed in/out-degree distributions characteristic of web graphs.
-  * Like the paper's pipeline, the raw graph is *directed*; `undirect`
+  * Like the paper's pipeline, the raw graph is *directed*; `undirectLocal`
   * removes directions, multi-edges and self-loops before running the
   * algorithms (§V-B1 of the paper).
   *
@@ -57,13 +56,6 @@ object GraphGen {
   }
 
   /** Undirect, dedupe and drop self-loops: canonical (u < v) edge list. */
-  def undirect(edges: DataFrame): DataFrame = {
-    val u = least(col("src"), col("dst")).as("u")
-    val v = greatest(col("src"), col("dst")).as("v")
-    edges.select(u, v).where(col("u") =!= col("v")).distinct()
-  }
-
-  /** Local mirror of [[undirect]]. */
   def undirectLocal(edges: Seq[(Long, Long)]): Seq[(Long, Long)] =
     edges.iterator
       .filter { case (s, d) => s != d }

@@ -19,9 +19,11 @@ object OverlappingNMI {
 
   /** Conditional entropy H(Xk | Yl) or None if the LFK constraint rejects it. */
   private def condEntropy(xk: Set[Int], yl: Set[Int], n: Int): Option[Double] = {
-    val d = (xk & yl).size.toDouble / n          // P(x=1, y=1)
-    val c = (xk.size - (xk & yl).size).toDouble / n // P(x=1, y=0)
-    val b = (yl.size - (xk & yl).size).toDouble / n // P(x=0, y=1)
+    // |xk ∩ yl| without building it: look the smaller set up in the larger.
+    val both = if (xk.size <= yl.size) xk.count(yl) else yl.count(xk)
+    val d = both.toDouble / n                    // P(x=1, y=1)
+    val c = (xk.size - both).toDouble / n        // P(x=1, y=0)
+    val b = (yl.size - both).toDouble / n        // P(x=0, y=1)
     val a = 1.0 - b - c - d                      // P(x=0, y=0)
     if (h(d) + h(a) >= h(b) + h(c)) {
       val hXY = h(a) + h(b) + h(c) + h(d)

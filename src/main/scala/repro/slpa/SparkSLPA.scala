@@ -23,10 +23,8 @@ object SparkSLPA {
   /** Run `T` iterations over adjacency `(vid, sortedNeighbors)`.
     * Returns `(vid, memory)` with memories of length `T + 1`.
     */
-  def propagate(adj: RDD[(Long, Array[Long])], T: Int, seed: Long,
-                numPartitions: Int = 0): RDD[(Long, Array[Long])] = {
-    val parts = if (numPartitions > 0) numPartitions else adj.sparkContext.defaultParallelism
-    val part = new HashPartitioner(parts)
+  def propagate(adj: RDD[(Long, Array[Long])], T: Int, seed: Long): RDD[(Long, Array[Long])] = {
+    val part = new HashPartitioner(adj.sparkContext.defaultParallelism)
     var state: RDD[(Long, VState)] = adj
       .map { case (v, ns) => (v, VState(ns.sorted, Array(v))) }
       .partitionBy(part)

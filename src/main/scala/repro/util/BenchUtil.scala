@@ -1,10 +1,12 @@
 package repro.util
 
-/** Small helpers shared by jobs/ and bench/: wall-clock timing and aligned
-  * table printing (each bench prints the rows of the paper table/figure it
-  * reproduces; EXPERIMENTS.md records them next to the paper's values).
+/** Helpers for the paper tables in `repro.experiments`: wall-clock timing,
+  * the averaging-run count and aligned table printing.
   */
 object BenchUtil {
+
+  /** Averaging runs of Fig. 7 and §IV-D: `REPRO_RUNS`, default 2 (paper: 10). */
+  val runs: Int = sys.env.getOrElse("REPRO_RUNS", "2").toInt
 
   /** Evaluate `body`, returning (result, elapsedSeconds). */
   def timed[A](body: => A): (A, Double) = {

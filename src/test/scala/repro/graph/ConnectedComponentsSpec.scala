@@ -139,7 +139,7 @@ class ConnectedComponentsSpec extends AnyFunSuite with SparkSpec {
     assert(ConnectedComponents.spark(sc.parallelize(Seq.empty[(Long, Long)], 4)).collect().isEmpty)
   }
 
-  test("spark CC handles a long path (log-round convergence)") {
+  test("spark CC joins a 64-vertex path into one component") {
     val edges = (0L until 63L).map(i => (i, i + 1))
     val got = ConnectedComponents.spark(spark.sparkContext.parallelize(edges)).collect().toMap
     assert(got.values.toSet == Set(0L))

@@ -38,14 +38,6 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
     assert(GraphGen.undirectLocal(edges) == Seq((1L, 2L), (1L, 3L)))
   }
 
-  test("spark undirect matches undirectLocal") {
-    import spark.implicits._
-    val raw = GraphGen.rmatEdgesLocal(7, 300, seed = 6)
-    val got = GraphGen.undirect(raw.toDF("src", "dst"))
-      .collect().map(r => (r.getLong(0), r.getLong(1))).toSeq.sorted
-    assert(got == GraphGen.undirectLocal(raw))
-  }
-
   test("webGraphLocal compacts ids densely") {
     val (directed, g) = GraphGen.webGraphLocal(8, 600, seed = 7)
     val ids = directed.flatMap { case (u, v) => Seq(u, v) }.distinct

@@ -1,6 +1,7 @@
 package repro.metrics
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.util.SplitMix64
 
 class OverlappingNMISpec extends AnyFunSuite {
 
@@ -72,5 +73,20 @@ class OverlappingNMISpec extends AnyFunSuite {
           ((50 + k until 100) ++ (50 - k until 50)).toSet)
     val scores = Seq(0, 4, 8, 16).map(perturbed).map(OverlappingNMI.score(cover, _, n))
     assert(scores == scores.sorted.reverse, s"not monotone: $scores")
+  }
+
+  test("score equals the set-building oracle exactly on random covers") {
+    val rng = new SplitMix64(11)
+    def community(n: Int): Set[Int] = rng.nextInt(6) match {
+      case 0 => Set.empty
+      case 1 => (0 until n).toSet
+      case _ => Set.fill(rng.nextInt(n + 1))(rng.nextInt(n))
+    }
+    for (_ <- 0 until 200) {
+      val n = 1 + rng.nextInt(60)
+      val x = Seq.fill(1 + rng.nextInt(6))(community(n))
+      val y = Seq.fill(1 + rng.nextInt(6))(community(n))
+      assert(OverlappingNMI.score(x, y, n) == OverlappingNMIOracle.score(x, y, n), s"n=$n x=$x y=$y")
+    }
   }
 }
