@@ -60,12 +60,9 @@ object LocalIncremental {
     def setPick(v: Long, t: Int, src: Long, pos: Int): Unit = {
       st.srcs(v.toInt)(t) = src.toInt; st.poss(v.toInt)(t) = pos
     }
-    def addReceiver(v: Long, p: Int, tar: Long, k: Int): Unit = st.recv(v.toInt)(p) ::= ((tar.toInt, k))
-    def removeReceiver(v: Long, p: Int, tar: Long, k: Int): Unit = {
-      val rec = (tar.toInt, k)
-      st.recv(v.toInt)(p) = st.recv(v.toInt)(p).filterNot(_ == rec)
-    }
+    def addReceiver(v: Long, p: Int, tar: Long, k: Int): Unit = st.addReceiver(v.toInt, p, tar.toInt, k)
+    def removeReceiver(v: Long, p: Int, tar: Long, k: Int): Unit = st.removeReceiver(v.toInt, p, tar.toInt, k)
     def foreachReceiver(v: Long, p: Int)(f: (Long, Int) => Unit): Unit =
-      st.recv(v.toInt)(p).foreach { case (tar, k) => f(tar, k) }
+      st.foreachReceiver(v.toInt, p)((tar, k) => f(tar, k))
   }
 }

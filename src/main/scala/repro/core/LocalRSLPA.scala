@@ -27,13 +27,16 @@ object LocalRSLPA {
     if (idx < 0) (i, 0) else (adj(idx), pos)
   }
 
-  /** Run `T` iterations; returns the full propagation state. */
+  /** Run `T` iterations; returns the full propagation state, whose
+    * receiver records R the [[RslpaState]] constructor threads from the
+    * picks.
+    */
   def propagate(g: LocalGraph, T: Int, seed: Long): RslpaState = {
     val n = g.n
+    RslpaState.requireKeysFit(n, T)
     val labels = Array.tabulate(n)(i => { val a = new Array[Long](T + 1); a(0) = i.toLong; a })
     val srcs = Array.fill(n)(Array.fill(T + 1)(-1))
     val poss = Array.fill(n)(Array.fill(T + 1)(-1))
-    val recv = Array.fill(n)(Array.fill(T + 1)(List.empty[(Int, Int)]))
     var t = 1
     while (t <= T) {
       var i = 0
@@ -42,18 +45,17 @@ object LocalRSLPA {
         labels(i)(t) = labels(src)(pos)
         srcs(i)(t) = src
         poss(i)(t) = pos
-        recv(src)(pos) ::= ((i, t))
         i += 1
       }
       t += 1
     }
-    new RslpaState(n, T, labels, srcs, poss, recv)
+    new RslpaState(n, T, labels, srcs, poss)
   }
 
   /** Label memories only — identical picks to [[propagate]] but without the
-    * (src, pos, R) bookkeeping. Used by the quality sweeps, where no
-    * incremental updating follows and the reverse records would dominate
-    * memory at N = 50K, T = 1000.
+    * (src, pos, R) bookkeeping, 20 of the state's 28 bytes per label. Kept
+    * for the quality sweeps and the benchmark's detect path, where no
+    * incremental updating follows.
     */
   def propagateLabelsOnly(g: LocalGraph, T: Int, seed: Long): Array[Array[Long]] = {
     val n = g.n

@@ -73,6 +73,25 @@ class LocalIncrementalSpec extends AnyFunSuite {
     }
   }
 
+  test("threaded receivers equal list-maintained records over chained batches") {
+    for (((name, g0), batchSize) <- ReceiverListOracle.graphs.zip(Seq(100, 6))) {
+      val st = LocalRSLPA.propagate(g0, T = 40, seed = 16)
+      val oracle = ReceiverListOracle.propagate(g0, T = 40, seed = 16)
+      var g = g0
+      for (epoch <- 1 to 3) {
+        val batch = EditBatch.halfAndHalf(g, batchSize, seed = 200 + epoch)
+        val g1 = g.edited(batch.insertions, batch.deletions)
+        val stats = LocalIncremental.update(g, g1, st, seed = 16, epoch = epoch)
+        assert(oracle.update(g, g1, seed = 16, epoch = epoch) == stats, s"$name batch $epoch: stats differ")
+        assert(st.labels.map(_.toSeq).toSeq == oracle.labels.map(_.toSeq).toSeq, s"$name batch $epoch: labels differ")
+        val bad = oracle.receiverMismatches(st)
+        assert(bad.isEmpty, s"$name batch $epoch: receivers differ at ${bad.take(5)}")
+        assertConverged(g1, st)
+        g = g1
+      }
+    }
+  }
+
   test("a vertex losing all edges reverts to self-picks") {
     val g = LocalGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3), (0, 2)))
     val st = LocalRSLPA.propagate(g, T = 8, seed = 10)

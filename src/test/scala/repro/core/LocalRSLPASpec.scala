@@ -49,12 +49,27 @@ class LocalRSLPASpec extends AnyFunSuite {
     val g = twoCliques
     val st = LocalRSLPA.propagate(g, 10, seed = 7)
     val fromRecords = (for {
-      i <- 0 until g.n; p <- 0 to 10; (tar, k) <- st.recv(i)(p)
+      i <- 0 until g.n; p <- 0 to 10; (tar, k) <- st.receivers(i, p)
     } yield (tar, k, i, p)).toSet
     val fromPicks = (for {
       i <- 0 until g.n; t <- 1 to 10
     } yield (i, t, st.srcs(i)(t), st.poss(i)(t))).toSet
     assert(fromRecords == fromPicks)
+  }
+
+  test("threaded receivers equal the list-built records as sets") {
+    for (((name, g), seed) <- ReceiverListOracle.graphs.zipWithIndex) {
+      val st = LocalRSLPA.propagate(g, 40, seed + 40L)
+      val oracle = ReceiverListOracle.propagate(g, 40, seed + 40L)
+      val bad = oracle.receiverMismatches(st)
+      assert(bad.isEmpty, s"$name: receivers differ at ${bad.take(5)}")
+    }
+  }
+
+  test("propagate rejects label keys beyond Int range before allocating") {
+    val g = LocalGraph.fromEdges(3, Seq((0, 1), (1, 2)))
+    val e = intercept[IllegalArgumentException](LocalRSLPA.propagate(g, 1 << 30, seed = 1))
+    assert(e.getMessage.contains("must fit an Int"))
   }
 
   test("isolated vertices keep their own label") {

@@ -26,7 +26,7 @@ class SparkCorrectionSpec extends AnyFunSuite with SparkSpec {
       assert(d.poss.drop(1).toSeq == local.poss(i).drop(1).toSeq, s"poss differ at $i")
       for (p <- 0 until d.recv.length) {
         val dr = d.recv(p).map { case (tar, k) => (tar.toInt, k) }.toSet
-        assert(dr == local.recv(i)(p).toSet, s"recv differ at ($i,$p)")
+        assert(dr == local.receivers(i, p).toSet, s"recv differ at ($i,$p)")
       }
     }
   }
@@ -74,11 +74,15 @@ class SparkCorrectionSpec extends AnyFunSuite with SparkSpec {
       g1.n, 8,
       Array.tabulate(g1.n)(i => dist(i.toLong).labels),
       Array.tabulate(g1.n)(i => dist(i.toLong).srcs.map(_.toInt)),
-      Array.tabulate(g1.n)(i => dist(i.toLong).poss),
-      Array.tabulate(g1.n)(i => dist(i.toLong).recv.map(_.map { case (t, k) => (t.toInt, k) }))
+      Array.tabulate(g1.n)(i => dist(i.toLong).poss)
     )
     val errs = st.checkInvariants(g1.adj)
     assert(errs.isEmpty, errs.take(5).mkString("; "))
+    // The state threads R from the picks; Spark's own R must agree with it.
+    for (i <- 0 until g1.n; p <- 0 to 8) {
+      val dr = dist(i.toLong).recv(p).map { case (tar, k) => (tar.toInt, k) }.toSet
+      assert(dr == st.receivers(i, p).toSet, s"spark recv differs at ($i,$p)")
+    }
   }
 
   test("a cascade many hops from the edit loads rows over several rounds and still matches local") {

@@ -16,7 +16,7 @@ class SparkRSLPASpec extends AnyFunSuite with SparkSpec {
       assert(d.poss.drop(1).toSeq == local.poss(i).drop(1).toSeq, s"poss differ at $i")
       for (p <- 0 until d.recv.length) {
         val dr = d.recv(p).map { case (tar, k) => (tar.toInt, k) }.toSet
-        assert(dr == local.recv(i)(p).toSet, s"recv differ at ($i,$p)")
+        assert(dr == local.receivers(i, p).toSet, s"recv differ at ($i,$p)")
       }
     }
   }
