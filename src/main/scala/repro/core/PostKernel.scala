@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.UnionFind
+import repro.graph.{EdgeWeights, SpanningForest, UnionFind}
 import repro.metrics.SizeEntropy
 
 /** A label memory as its histogram: the distinct labels in ascending order
@@ -8,16 +8,10 @@ import repro.metrics.SizeEntropy
   */
 final class LabelCounts(val labels: Array[Long], val counts: Array[Int]) extends Serializable
 
-/** Weighted undirected edges `(u(k), v(k), w(k))` as parallel arrays. */
-final class EdgeWeights(val u: Array[Int], val v: Array[Int], val w: Array[Double]) {
-  require(u.length == v.length && v.length == w.length, "edge arrays differ in length")
-
-  def size: Int = w.length
-}
-
-/** The two kernels of rSLPA post-processing (§III-B) that the local and the
+/** The kernels of rSLPA post-processing (§III-B) that the local and the
   * Spark engine both call, so they compute bit-identical weights and pick
-  * the same τ1 from the same labels.
+  * the same τ2 and τ1 from the same labels, or from a maximum spanning
+  * forest of the weights ([[SpanningForest]]).
   */
 object PostKernel {
 
@@ -61,6 +55,20 @@ object PostKernel {
   def weight(a: LabelCounts, b: LabelCounts, memLen: Int): Double =
     matches(a, b).toDouble / (memLen.toLong * memLen)
 
+  /** τ2 = min over non-isolated vertices of the max incident weight (Eq. 2)
+    * of `w` on `[0, n)`; 0 without edges.
+    */
+  def tau2(n: Int, w: EdgeWeights): Double = {
+    val best = Array.fill(n)(Double.NaN)
+    for (k <- 0 until w.size) {
+      val u = w.u(k); val v = w.v(k); val x = w.w(k)
+      if (best(u).isNaN || x > best(u)) best(u) = x
+      if (best(v).isNaN || x > best(v)) best(v) = x
+    }
+    val vals = best.filterNot(_.isNaN)
+    if (vals.isEmpty) 0.0 else vals.min
+  }
+
   /** The τ1 candidates: τ2, τ2 + s, τ2 + 2s, … up to max w, with
     * s = (max w − τ2) / 60 (at least 1e-9). The paper enumerates with a
     * fixed interval (0.001); our memories are longer (T + 1 = 201 labels),
@@ -85,7 +93,7 @@ object PostKernel {
   def chooseTau1(n: Int, w: EdgeWeights, tau2: Double): Double = {
     if (w.size == 0) return tau2
     val grid = tau1Grid(tau2, w.w.max)
-    val order = descendingOrder(w.w)
+    val order = SpanningForest.descendingOrder(w.w)
     val uf = new UnionFind(n)
     val bySize = new Array[Int](n + 1) // components per size
     bySize(1) = n
@@ -109,36 +117,5 @@ object PostKernel {
       k += 1
     }
     best
-  }
-
-  /** A maximum spanning forest of `w` on `[0, n)` (Kruskal). At every
-    * threshold τ its edges with weight ≥ τ connect exactly what the edges of
-    * `w` with weight ≥ τ connect, so [[chooseTau1]] picks the same τ1 from
-    * the forest — or from the union of the forests of any split of `w`.
-    */
-  def spanningForest(n: Int, w: EdgeWeights): EdgeWeights = {
-    val uf = new UnionFind(n)
-    val kept = descendingOrder(w.w).filter(k => uf.union(w.u(k), w.v(k)))
-    new EdgeWeights(kept.map(w.u), kept.map(w.v), kept.map(w.w))
-  }
-
-  /** Indices of `w` by descending value, without boxing: each index is
-    * packed under the rank of its value among the distinct values.
-    */
-  private def descendingOrder(w: Array[Double]): Array[Int] = {
-    val distinct = w.clone()
-    java.util.Arrays.sort(distinct)
-    var d = 0
-    var i = 0
-    while (i < distinct.length) {
-      if (i == 0 || distinct(i) != distinct(d - 1)) { distinct(d) = distinct(i); d += 1 }
-      i += 1
-    }
-    val keys = Array.tabulate(w.length) { k =>
-      val rank = java.util.Arrays.binarySearch(distinct, 0, d, w(k))
-      ((d - 1 - rank).toLong << 32) | k
-    }
-    java.util.Arrays.sort(keys)
-    keys.map(_.toInt)
   }
 }

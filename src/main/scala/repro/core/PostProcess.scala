@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{ConnectedComponents, LocalGraph}
+import repro.graph.{ConnectedComponents, EdgeWeights, LocalGraph}
 
 import scala.collection.mutable
 
@@ -38,16 +38,7 @@ object PostProcess {
   }
 
   /** τ2 = min over non-isolated vertices of the max incident weight (Eq. 2). */
-  def chooseTau2(g: LocalGraph, w: EdgeWeights): Double = {
-    val best = Array.fill(g.n)(Double.NaN)
-    for (k <- 0 until w.size) {
-      val u = w.u(k); val v = w.v(k); val x = w.w(k)
-      if (best(u).isNaN || x > best(u)) best(u) = x
-      if (best(v).isNaN || x > best(v)) best(v) = x
-    }
-    val vals = best.filterNot(_.isNaN)
-    if (vals.isEmpty) 0.0 else vals.min
-  }
+  def chooseTau2(g: LocalGraph, w: EdgeWeights): Double = PostKernel.tau2(g.n, w)
 
   /** Components (≥ 2 vertices) of the graph restricted to edges with w ≥ τ1. */
   def componentsAt(g: LocalGraph, w: EdgeWeights, tau1: Double): Vector[Set[Int]] = {
@@ -60,9 +51,7 @@ object PostProcess {
       .toVector
   }
 
-  /** τ1 = argmax of community-size entropy over a 60-step grid in
-    * [τ2, max w] (Eq. 1), see [[PostKernel.chooseTau1]].
-    */
+  /** τ1 = argmax of size entropy in [τ2, max w] (Eq. 1), see [[PostKernel.chooseTau1]]. */
   def chooseTau1(g: LocalGraph, w: EdgeWeights, tau2: Double): Double =
     PostKernel.chooseTau1(g.n, w, tau2)
 

@@ -2,17 +2,16 @@ package repro.core
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
-import repro.graph.ConnectedComponents
+import repro.graph.{ConnectedComponents, SpanningForest}
 
 /** Distributed rSLPA post-processing (§III-B): edge similarity weights,
   * threshold selection (Eqs. 1–2) and community extraction via connected
   * components with weight filtering — "we slightly change the existing
   * algorithm of finding connected components by adding filtering on edge
-  * weights" (§V-B2): the τ1 filter is applied inline, never materializing
-  * the filtered graph, and [[ConnectedComponents.spark]] labels its
-  * components in one Kruskal-filtering pass. Weights and the τ1 search
-  * call the same kernels as the local engine ([[PostKernel]]), so both
-  * engines choose bit-identical thresholds from the same labels.
+  * weights" (§V-B2): τ2, τ1 and the components at τ1 each come from one
+  * Kruskal-filtering pass ([[SpanningForest.spark]]) over any `Long` ids.
+  * Weights, τ2 and τ1 call the local engine's kernels ([[PostKernel]]), so
+  * both engines choose bit-identical thresholds from the same labels.
   */
 object SparkPostProcess {
 
@@ -35,58 +34,39 @@ object SparkPostProcess {
       .map { case (v, ((u, cu), cv)) => ((u, v), PostKernel.weight(cu, cv, memLen)) }
   }
 
-  /** τ2 = min over non-isolated vertices of the max incident weight (Eq. 2). */
+  /** τ2 = min over non-isolated vertices of the max incident weight (Eq. 2):
+    * [[PostKernel.tau2]] over the Kruskal-filtered forest of `w`, which
+    * keeps every vertex's maximum incident weight. One job; persist `w`.
+    */
   def chooseTau2(w: RDD[((Long, Long), Double)]): Double = {
-    val best = w.flatMap { case ((u, v), x) => Iterator((u, x), (v, x)) }
-      .reduceByKey(math.max)
-      .values
-    if (best.isEmpty()) 0.0 else best.min()
+    val (ids, f) = SpanningForest.spark(w)
+    PostKernel.tau2(ids.length, f)
   }
 
-  private def componentsAt(w: RDD[((Long, Long), Double)], tau1: Double): RDD[(Long, Long)] =
-    ConnectedComponents.spark(w.collect { case ((u, v), x) if x >= tau1 => (u, v) })
-
   /** τ1 = argmax of size entropy over the local engine's grid in [τ2, max w]
-    * (Eq. 1), on vertices `[0, n)`. One job: every partition of `w` (persist
-    * it) sends the driver its maximum spanning forest, at most n − 1 edges,
-    * which connects at every threshold what the partition's edges connect
-    * (Kruskal filtering, Lattanzi et al., SPAA 2011); the driver then runs
-    * [[PostKernel.chooseTau1]] over the union of the forests. Every vertex
-    * id in `w` must lie in `[0, n)`; the job fails otherwise.
+    * (Eq. 1) on `n` vertices: [[PostKernel.chooseTau1]] over the
+    * Kruskal-filtered forest of `w`. `w` may hold at most `n` distinct
+    * vertex ids, of any value. One job; persist `w`.
     */
   def chooseTau1(w: RDD[((Long, Long), Double)], tau2: Double, n: Long): Double = {
     require(n <= Int.MaxValue, s"chooseTau1 needs n <= Int.MaxValue vertices, got $n")
-    val nv = n.toInt
-    val forests = w.mapPartitions { it =>
-      val es = it.toArray
-      val f = PostKernel.spanningForest(nv,
-        new EdgeWeights(es.map(e => denseId(e._1._1, nv)), es.map(e => denseId(e._1._2, nv)), es.map(_._2)))
-      Iterator((f.u, f.v, f.w))
-    }.collect()
-    PostKernel.chooseTau1(nv,
-      new EdgeWeights(forests.flatMap(_._1), forests.flatMap(_._2), forests.flatMap(_._3)), tau2)
-  }
-
-  private def denseId(id: Long, n: Int): Int = {
-    require(id >= 0 && id < n, s"vertex id $id lies outside [0, $n): ids must be dense")
-    id.toInt
+    val (ids, f) = SpanningForest.spark(w)
+    require(ids.length <= n, s"chooseTau1: w has ${ids.length} distinct vertices, more than n = $n")
+    PostKernel.chooseTau1(n.toInt, f, tau2)
   }
 
   /** Full extraction: components at τ1 are communities; an isolated vertex
     * joins the community of every non-isolated neighbor with w ≥ τ2.
-    * Vertex ids must be dense: `labels` holds ids `0 until n` and `edges`
-    * uses only those ids ([[chooseTau1]] fails otherwise).
     */
   def extract(labels: RDD[(Long, Array[Long])], edges: RDD[(Long, Long)],
               memLen: Int): SparkCover = {
     val w = edgeWeights(labels, edges, memLen).persist(StorageLevel.MEMORY_AND_DISK)
-    if (w.count() == 0)
-      return SparkCover(labels.sparkContext.emptyRDD[(Long, Long)], 0.0, 0.0)
     val n = labels.count()
     val tau2 = chooseTau2(w)
     val tau1 = chooseTau1(w, tau2, n)
 
-    val comp = componentsAt(w, tau1).persist(StorageLevel.MEMORY_AND_DISK)
+    val comp = ConnectedComponents.spark(w.collect { case ((u, v), x) if x >= tau1 => (u, v) })
+      .persist(StorageLevel.MEMORY_AND_DISK)
     val sizes = comp.map { case (_, c) => (c, 1) }.reduceByKey(_ + _)
     val member = comp
       .map { case (v, c) => (c, v) }

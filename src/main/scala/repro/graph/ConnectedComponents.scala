@@ -2,18 +2,13 @@ package repro.graph
 
 import org.apache.spark.rdd.RDD
 
-import scala.collection.immutable.ArraySeq
-
 /** Connected components, labelled by the minimum vertex id of each.
   *
   * The paper's post-processing finds communities as connected components of
   * the similarity-filtered graph, citing a MapReduce CC algorithm (Chitnis
   * et al., ICDE 2013). The Spark engine instead uses Kruskal filtering
-  * (Lattanzi et al., SPAA 2011), which gives the same components in one
-  * pass: each partition reduces its edges to one link per vertex, and link
-  * sets merge pairwise because the links of a union of graphs connect
-  * exactly what the graphs connect. The τ1 search itself needs no CC runs:
-  * it sweeps a [[UnionFind]] once (`repro.core.PostKernel`).
+  * ([[SpanningForest.spark]], Lattanzi et al., SPAA 2011), which gives the
+  * same components in one pass.
   */
 object ConnectedComponents {
 
@@ -29,26 +24,13 @@ object ConnectedComponents {
   }
 
   /** `(vertex, componentMinId)` for every vertex appearing in `edges`, any
-    * `Long` ids. Every partition reduces its edges to such links
-    * ([[minLinks]]), `treeReduce` merges link sets with the same function,
-    * and the driver, holding one link per vertex, parallelizes the result.
+    * `Long` ids: [[SpanningForest.spark]] with every weight equal, then
+    * [[local]] over the forest on the driver. The forest numbers vertices in
+    * ascending id order, so a component's minimum index is its minimum id.
     */
   def spark(edges: RDD[(Long, Long)]): RDD[(Long, Long)] = {
-    val sc = edges.sparkContext
-    if (edges.partitions.isEmpty) return sc.emptyRDD
-    val links = edges
-      .mapPartitions(it => Iterator(minLinks(it.toArray)))
-      .treeReduce((a, b) => minLinks(a ++ b))
-    sc.parallelize(ArraySeq.unsafeWrapArray(links))
-  }
-
-  /** [[local]] over the vertices of `edges` numbered in ascending id order,
-    * so that a component's minimum index is its minimum id.
-    */
-  private def minLinks(edges: Array[(Long, Long)]): Array[(Long, Long)] = {
-    val ids = (edges.map(_._1) ++ edges.map(_._2)).sorted.distinct
-    def at(id: Long) = java.util.Arrays.binarySearch(ids, id)
-    val comp = local(ids.length, edges.map { case (u, v) => (at(u), at(v)) })
-    Array.tabulate(ids.length)(i => (ids(i), ids(comp(i))))
+    val (ids, f) = SpanningForest.spark(edges.map((_, 1.0)))
+    val comp = local(ids.length, f.u.zip(f.v))
+    edges.sparkContext.parallelize(ids.indices.map(i => (ids(i), ids(comp(i)))))
   }
 }

@@ -18,23 +18,27 @@ import repro.util.{Rng, SplitMix64}
   */
 object GraphGen {
 
+  /** RMAT quadrant probabilities a, b and c; d = 1 − a − b − c. */
+  private val A = 0.57
+  private val B = 0.19
+  private val C = 0.19
+
   /** Directed RMAT edge sample: `numEdges` raw edges over `2^scale` vertices. */
-  def rmatEdgesLocal(scale: Int, numEdges: Long, seed: Long,
-                     a: Double = 0.57, b: Double = 0.19, c: Double = 0.19): Seq[(Long, Long)] = {
+  def rmatEdgesLocal(scale: Int, numEdges: Long, seed: Long): Seq[(Long, Long)] = {
     (0L until numEdges).map { i =>
       val rng = Rng.forItem(seed, i, Rng.SaltGen)
-      rmatOne(scale, rng, a, b, c)
+      rmatOne(scale, rng)
     }
   }
 
-  private def rmatOne(scale: Int, rng: SplitMix64, a: Double, b: Double, c: Double): (Long, Long) = {
+  private def rmatOne(scale: Int, rng: SplitMix64): (Long, Long) = {
     var u = 0L; var v = 0L
     var bit = 0
     while (bit < scale) {
       val r = rng.nextDouble()
-      if (r < a) { /* top-left */ }
-      else if (r < a + b) { v |= 1L << bit }
-      else if (r < a + b + c) { u |= 1L << bit }
+      if (r < A) { /* top-left */ }
+      else if (r < A + B) { v |= 1L << bit }
+      else if (r < A + B + C) { u |= 1L << bit }
       else { u |= 1L << bit; v |= 1L << bit }
       bit += 1
     }
@@ -44,13 +48,12 @@ object GraphGen {
   /** Directed RMAT edges as a DataFrame (`src`, `dst`), generated in
     * parallel on executors, deterministic in `seed`.
     */
-  def rmatEdges(spark: SparkSession, scale: Int, numEdges: Long, seed: Long,
-                a: Double = 0.57, b: Double = 0.19, c: Double = 0.19): DataFrame = {
+  def rmatEdges(spark: SparkSession, scale: Int, numEdges: Long, seed: Long): DataFrame = {
     import spark.implicits._
     spark.range(numEdges).rdd
       .map { i =>
         val rng = Rng.forItem(seed, i, Rng.SaltGen)
-        rmatOne(scale, rng, a, b, c)
+        rmatOne(scale, rng)
       }
       .toDF("src", "dst")
   }

@@ -6,8 +6,9 @@ import repro.util.{Rng, SplitMix64}
 import scala.collection.mutable
 
 /** Parameters of the LFR-style benchmark — the selected subset the paper
-  * lists in Table I, plus the community-size range (the LFR defaults the
-  * paper leaves implicit).
+  * lists in Table I. The community-size range, which the paper leaves
+  * implicit, is fixed at the LFR defaults ([[LFRGenerator.MinCommunity]],
+  * [[LFRGenerator.MaxCommunity]]).
   *
   * @param n    number of vertices (paper: N)
   * @param avgDeg  average degree (paper: k)
@@ -18,8 +19,7 @@ import scala.collection.mutable
   * @param om      memberships per overlapping vertex
   */
 final case class LFRParams(n: Int, avgDeg: Double, maxDeg: Int, mu: Double,
-                           on: Int, om: Int, minCommunity: Int = 20,
-                           maxCommunity: Int = 100, seed: Long = 7L) {
+                           on: Int, om: Int, seed: Long = 7L) {
   require(om >= 1 && on >= 0 && on <= n && mu >= 0 && mu < 1)
 }
 
@@ -44,6 +44,10 @@ final case class LFRInstance(graph: LocalGraph, communities: Vector[Set[Int]]) {
   * external pairs). Ground truth covers are returned for NMI scoring.
   */
 object LFRGenerator {
+
+  /** Community-size range before widening for dense settings. */
+  val MinCommunity = 20
+  val MaxCommunity = 100
 
   /** Discrete truncated power-law sampler on [lo, hi] with exponent `gamma`. */
   private final class PowerLaw(lo: Int, hi: Int, gamma: Double) {
@@ -100,8 +104,8 @@ object LFRGenerator {
     //    settings — otherwise internal stubs spill into external edges and
     //    the effective mixing explodes.
     val slots = membershipsOf.sum
-    val effMinC = math.max(p.minCommunity, math.ceil((1 - p.mu) * p.avgDeg).toInt + 5)
-    val effMaxC = math.max(math.max(p.maxCommunity, effMinC + 10),
+    val effMinC = math.max(MinCommunity, math.ceil((1 - p.mu) * p.avgDeg).toInt + 5)
+    val effMaxC = math.max(math.max(MaxCommunity, effMinC + 10),
                            math.ceil((1 - p.mu) * p.maxDeg).toInt + 5)
     val sizeDist = new PowerLaw(effMinC, math.min(effMaxC, p.n), 1.0)
     val sizes = mutable.ArrayBuffer.empty[Int]

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.graph.EdgeWeights
+
 /** Map views of the post-processing kernels' arrays, for writing and
   * checking small cases by hand.
   */

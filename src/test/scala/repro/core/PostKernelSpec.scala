@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.PostFixtures._
-import repro.graph.ConnectedComponents
+import repro.graph.{ConnectedComponents, EdgeWeights, SpanningForest}
 import repro.metrics.SizeEntropyOracle
 import repro.util.SplitMix64
 
@@ -41,7 +41,7 @@ class PostKernelSpec extends AnyFunSuite {
   private def forests(n: Int, w: EdgeWeights, parts: Int): EdgeWeights = {
     val fs = (0 until parts).map { p =>
       val ks = (0 until w.size).filter(_ % parts == p).toArray
-      PostKernel.spanningForest(n, new EdgeWeights(ks.map(w.u), ks.map(w.v), ks.map(w.w)))
+      SpanningForest.local(n, new EdgeWeights(ks.map(w.u), ks.map(w.v), ks.map(w.w)))
     }
     new EdgeWeights(fs.flatMap(_.u).toArray, fs.flatMap(_.v).toArray, fs.flatMap(_.w).toArray)
   }
@@ -75,9 +75,31 @@ class PostKernelSpec extends AnyFunSuite {
   test("a spanning forest keeps at most n - 1 edges") {
     val rng = new SplitMix64(7)
     val w = weights(randomWeights(rng, 30, 200, 5))
-    val f = PostKernel.spanningForest(30, w)
+    val f = SpanningForest.local(30, w)
     assert(f.size <= 29)
     assert(f.size < w.size)
+  }
+
+  /** τ2 by its definition (Eq. 2): the minimum over vertices with an edge of
+    * the maximum incident weight.
+    */
+  private def bruteTau2(w: Map[(Int, Int), Double]): Double = {
+    val best = w.toSeq.flatMap { case ((u, v), x) => Seq(u -> x, v -> x) }
+      .groupMapReduce(_._1)(_._2)(math.max)
+    if (best.isEmpty) 0.0 else best.values.min
+  }
+
+  for (parts <- Seq(1, 2, 3, 7)) {
+    test(s"tau2 over partition forests equals the brute-force tau2 (parts=$parts)") {
+      val rng = new SplitMix64(700 + parts)
+      for (_ <- 0 until 20) {
+        val n = 5 + rng.nextInt(60)
+        val map = randomWeights(rng, n, rng.nextInt(3 * n), 1 + rng.nextInt(6))
+        val w = weights(map)
+        assert(PostKernel.tau2(n, forests(n, w, parts)) == bruteTau2(map), s"n=$n m=${w.size}")
+        assert(PostKernel.tau2(n, w) == bruteTau2(map))
+      }
+    }
   }
 
   for (parts <- Seq(1, 2, 3, 7)) {

@@ -50,8 +50,9 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
 
   test("spark tau2 matches local tau2") {
     val w = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
-    val localW = PostProcess.edgeWeights(g, localSt.labels)
-    assert(math.abs(SparkPostProcess.chooseTau2(w) - PostProcess.chooseTau2(g, localW)) < 1e-12)
+    val tau2 = PostProcess.chooseTau2(g, PostProcess.edgeWeights(g, localSt.labels))
+    for (parts <- Seq(1, 3, 8))
+      assert(SparkPostProcess.chooseTau2(w.repartition(parts)) == tau2, s"parts=$parts")
   }
 
   test("spark extract yields a cover consistent with local extractAt") {
@@ -86,9 +87,31 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     assert(cover.assignments.isEmpty())
   }
 
-  test("chooseTau1 rejects vertex ids outside [0, n)") {
+  /** Sparse ids, increasing in `v`, beyond the `Int` range. */
+  private def sparse(v: Long): Long = v * (1L << 33) + 5
+
+  for (parts <- Seq(1, 3, 8)) {
+    test(s"sparse vertex ids give the dense thresholds and cover (parts=$parts)") {
+      val labels = sc.parallelize((0 until g.n).map(i => (sparse(i), localSt.labels(i).map(sparse))), parts)
+      val edges = sc.parallelize(g.edges.map { case (u, v) => (sparse(u), sparse(v)) }, parts)
+      val w = SparkPostProcess.edgeWeights(labels, edges, 13).persist()
+      val localW = PostProcess.edgeWeights(g, localSt.labels)
+      val tau2 = PostProcess.chooseTau2(g, localW)
+      assert(SparkPostProcess.chooseTau2(w) == tau2)
+      assert(SparkPostProcess.chooseTau1(w, tau2, g.n) == PostProcess.chooseTau1(g, localW, tau2))
+      w.unpersist()
+      val cover = SparkPostProcess.extract(labels, edges, 13)
+      val dense = cover.assignments.collect().groupBy(_._2).values
+        .map(_.map { case (v, _) => ((v - 5) >> 33).toInt }.toSet).toSet
+      assert(dense == PostProcess.extract(g, localSt.labels).toSet)
+    }
+  }
+
+  test("chooseTau1 rejects w with more than n distinct vertices") {
     val w = sc.parallelize(Seq(((0L, 1L), 0.5), ((1L, 7L), 0.25)))
-    val e = intercept[Exception](SparkPostProcess.chooseTau1(w, 0.25, 3))
-    assert(e.getMessage.contains("vertex id 7 lies outside [0, 3)"), e.getMessage)
+    val e = intercept[IllegalArgumentException](SparkPostProcess.chooseTau1(w, 0.25, 2))
+    assert(e.getMessage.contains("w has 3 distinct vertices, more than n = 2"), e.getMessage)
+    assert(SparkPostProcess.chooseTau1(w, 0.25, 3) == PostProcess.chooseTau1(
+      LocalGraph.fromEdges(3, Seq((0, 1), (1, 2))), weights(Map((0, 1) -> 0.5, (1, 2) -> 0.25)), 0.25))
   }
 }

@@ -37,7 +37,7 @@ class LFRGeneratorSpec extends AnyFunSuite {
 
   test("communities respect the size range approximately") {
     inst.communities.foreach { c =>
-      assert(c.size >= 2 && c.size <= p.maxCommunity + p.om * 2,
+      assert(c.size >= 2 && c.size <= LFRGenerator.MaxCommunity + p.om * 2,
         s"community size ${c.size} out of range")
     }
   }
