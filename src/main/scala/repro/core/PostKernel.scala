@@ -3,11 +3,6 @@ package repro.core
 import repro.graph.{EdgeWeights, SpanningForest, UnionFind}
 import repro.metrics.SizeEntropy
 
-/** A label memory as its histogram: the distinct labels in ascending order
-  * and how often each occurs.
-  */
-final class LabelCounts(val labels: Array[Long], val counts: Array[Int]) extends Serializable
-
 /** The kernels of rSLPA post-processing (§III-B) that the local and the
   * Spark engine both call, so they compute bit-identical weights and pick
   * the same τ2 and τ1 from the same labels, or from a maximum spanning
@@ -15,45 +10,37 @@ final class LabelCounts(val labels: Array[Long], val counts: Array[Int]) extends
   */
 object PostKernel {
 
-  /** Histogram of one label memory: one sort, then run lengths. */
-  def labelCounts(mem: Array[Long]): LabelCounts = {
-    val s = mem.clone()
-    java.util.Arrays.sort(s)
-    var distinct = 0
-    var i = 0
-    while (i < s.length) { if (i == 0 || s(i) != s(i - 1)) distinct += 1; i += 1 }
-    val labels = new Array[Long](distinct)
-    val counts = new Array[Int](distinct)
-    var d = -1
-    i = 0
-    while (i < s.length) {
-      if (i == 0 || s(i) != s(i - 1)) { d += 1; labels(d) = s(i) }
-      counts(d) += 1
-      i += 1
-    }
-    new LabelCounts(labels, counts)
-  }
-
-  /** Σ_l a(l)·b(l), the number of equal (draw from a, draw from b) pairs:
-    * one merge of the two sorted histograms.
+  /** Label counts of one memory at a time over dense label indices
+    * `[0, n)`: [[load]] one memory, take [[matches]] against any number of
+    * others, then [[unload]] it before loading the next. Labels are not
+    * checked against `[0, n)` here; callers check them once, outside the
+    * per-edge loop.
     */
-  def matches(a: LabelCounts, b: LabelCounts): Long = {
-    var s = 0L
-    var i = 0; var j = 0
-    while (i < a.labels.length && j < b.labels.length) {
-      val x = a.labels(i); val y = b.labels(j)
-      if (x < y) i += 1
-      else if (x > y) j += 1
-      else { s += a.counts(i).toLong * b.counts(j); i += 1; j += 1 }
-    }
-    s
-  }
+  final class Scatter(n: Int) {
+    private val c = new Array[Int](n)
 
-  /** w_uv = P(uniform draw from L_u = uniform draw from L_v) for two
-    * memories of length `memLen` (T + 1).
-    */
-  def weight(a: LabelCounts, b: LabelCounts, memLen: Int): Double =
-    matches(a, b).toDouble / (memLen.toLong * memLen)
+    /** Adds 1 at each label of `mem`. */
+    def load(mem: Array[Long]): Unit = {
+      var i = 0
+      while (i < mem.length) { c(mem(i).toInt) += 1; i += 1 }
+    }
+
+    /** Σ over the labels of `mem` of the loaded count, which equals
+      * Σ_l c_loaded(l)·c_mem(l): the number of equal (draw, draw) pairs.
+      */
+    def matches(mem: Array[Long]): Long = {
+      var s = 0L
+      var i = 0
+      while (i < mem.length) { s += c(mem(i).toInt); i += 1 }
+      s
+    }
+
+    /** Zeroes the slots that `load(mem)` set. */
+    def unload(mem: Array[Long]): Unit = {
+      var i = 0
+      while (i < mem.length) { c(mem(i).toInt) = 0; i += 1 }
+    }
+  }
 
   /** τ2 = min over non-isolated vertices of the max incident weight (Eq. 2)
     * of `w` on `[0, n)`; 0 without edges.

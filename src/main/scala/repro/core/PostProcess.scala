@@ -10,8 +10,9 @@ import scala.collection.mutable
   * on a *distribution* of labels rather than a single winner. Communities
   * are therefore extracted by:
   *  1. weighting every edge by w_ij = P(l_i = l_j) — the probability a
-  *     uniform draw from L_i equals a uniform draw from L_j — by one merge
-  *     of the two memories' sorted histograms ([[PostKernel.weight]]);
+  *     uniform draw from L_i equals a uniform draw from L_j: L_i's labels
+  *     are scattered into a dense count array once, and each neighbour's
+  *     memory sums its labels' counts there ([[PostKernel.Scatter]]);
   *  2. τ2 = min_i max_j w_ij (Eq. 2, "no isolated vertex" principle);
   *  3. τ1 ∈ [τ2, max w] maximizing the size entropy of the connected
   *     components of the τ1-filtered graph (Eq. 1, "maximize information"),
@@ -23,16 +24,33 @@ import scala.collection.mutable
   */
 object PostProcess {
 
-  /** Weight of every edge of `g`, in the order of `g.edges` (u < v). */
+  /** Weight of every edge of `g`, in the order of `g.edges` (u < v). Labels
+    * must be vertex ids of `g`: each vertex's memory is scattered into one
+    * [[PostKernel.Scatter]] over `[0, n)` and matched against the memories
+    * of its higher neighbours.
+    */
   def edgeWeights(g: LocalGraph, labels: Array[Array[Long]]): EdgeWeights = {
-    val counts = labels.map(PostKernel.labelCounts)
+    for (u <- labels.indices; l <- labels(u))
+      if (l < 0 || l >= g.n)
+        throw new IllegalArgumentException(s"edgeWeights: vertex $u holds label $l outside [0, ${g.n})")
     val memLen = labels.headOption.map(_.length).getOrElse(1)
+    val denom = (memLen.toLong * memLen).toDouble
     val m = g.numEdges.toInt
     val us = new Array[Int](m); val vs = new Array[Int](m); val ws = new Array[Double](m)
+    val scatter = new PostKernel.Scatter(g.n)
     var k = 0
-    for (u <- 0 until g.n; v <- g.adj(u) if v > u) {
-      us(k) = u; vs(k) = v; ws(k) = PostKernel.weight(counts(u), counts(v), memLen)
-      k += 1
+    var u = 0
+    while (u < g.n) {
+      val nbrs = g.adj(u)
+      scatter.load(labels(u))
+      var j = 0
+      while (j < nbrs.length) {
+        val v = nbrs(j)
+        if (v > u) { us(k) = u; vs(k) = v; ws(k) = scatter.matches(labels(v)) / denom; k += 1 }
+        j += 1
+      }
+      scatter.unload(labels(u))
+      u += 1
     }
     new EdgeWeights(us, vs, ws)
   }

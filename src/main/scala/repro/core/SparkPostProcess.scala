@@ -21,17 +21,40 @@ object SparkPostProcess {
   final case class SparkCover(assignments: RDD[(Long, Long)], tau1: Double, tau2: Double)
 
   /** w_uv = P(uniform draw from L_u = uniform draw from L_v) for every
-    * canonical (u < v) edge. `memLen` is the memory length (T + 1). Each
-    * memory is shipped as its sorted histogram ([[PostKernel.labelCounts]]).
+    * canonical (u < v) edge. `memLen` is the memory length (T + 1). Labels
+    * must be vertex ids of `labels`, of any value: the ids are collected,
+    * sorted and broadcast once, and each memory is shipped with its labels
+    * mapped to their ranks (the identity for dense ids `[0, n)`). Each task
+    * then matches its joined edges in one [[PostKernel.Scatter]] over
+    * `[0, n)`, the local engine's kernel. A label that is not a vertex id
+    * fails where it is mapped.
     */
   def edgeWeights(labels: RDD[(Long, Array[Long])], edges: RDD[(Long, Long)],
                   memLen: Int): RDD[((Long, Long), Double)] = {
-    val counts = labels.mapValues(PostKernel.labelCounts)
+    val sorted = labels.keys.collect()
+    java.util.Arrays.sort(sorted)
+    val ids = labels.sparkContext.broadcast(sorted)
+    val ranked = labels.mapPartitions(_.map { case (u, mem) =>
+      (u, mem.map { l =>
+        val r = java.util.Arrays.binarySearch(ids.value, l)
+        if (r < 0) throw new IllegalArgumentException(s"edgeWeights: vertex $u holds label $l, which is not a vertex id")
+        r.toLong
+      })
+    }, preservesPartitioning = true)
+    val denom = (memLen.toLong * memLen).toDouble
     edges
-      .join(counts)
-      .map { case (u, (v, cu)) => (v, (u, cu)) }
-      .join(counts)
-      .map { case (v, ((u, cu), cv)) => ((u, v), PostKernel.weight(cu, cv, memLen)) }
+      .join(ranked)
+      .map { case (u, (v, mu)) => (v, (u, mu)) }
+      .join(ranked)
+      .mapPartitions { it =>
+        val scatter = new PostKernel.Scatter(ids.value.length)
+        it.map { case (v, ((u, mu), mv)) =>
+          scatter.load(mu)
+          val m = scatter.matches(mv)
+          scatter.unload(mu)
+          ((u, v), m / denom)
+        }
+      }
   }
 
   /** τ2 = min over non-isolated vertices of the max incident weight (Eq. 2):

@@ -40,13 +40,28 @@ object SpanningForest {
   }
 
   /** The ids of `ids` and of the edges `(us(k), vs(k), ws(k))`, ascending,
-    * and the forest of the edges over their indices.
+    * and the forest of the edges over their indices. Primitive arrays
+    * throughout: one sort, an in-place dedupe and binary searches, without
+    * boxing.
     */
   private def reduce(ids: Array[Long], us: Array[Long], vs: Array[Long],
                      ws: Array[Double]): (Array[Long], EdgeWeights) = {
-    val all = (ids ++ us ++ vs).sorted.distinct
-    def at(id: Long) = java.util.Arrays.binarySearch(all, id)
-    (all, local(all.length, new EdgeWeights(us.map(at), vs.map(at), ws)))
+    val all = ids ++ us ++ vs
+    java.util.Arrays.sort(all)
+    var d = 0
+    var i = 0
+    while (i < all.length) {
+      if (d == 0 || all(i) != all(d - 1)) { all(d) = all(i); d += 1 }
+      i += 1
+    }
+    val distinct = java.util.Arrays.copyOf(all, d)
+    def at(xs: Array[Long]): Array[Int] = {
+      val out = new Array[Int](xs.length)
+      var k = 0
+      while (k < xs.length) { out(k) = java.util.Arrays.binarySearch(distinct, xs(k)); k += 1 }
+      out
+    }
+    (distinct, local(d, new EdgeWeights(at(us), at(vs), ws)))
   }
 
   /** Indices of `w` by descending value, without boxing: each index is

@@ -15,14 +15,12 @@ object PostFixtures {
   def asMap(w: EdgeWeights): Map[(Int, Int), Double] =
     (0 until w.size).map(k => (w.u(k), w.v(k)) -> w.w(k)).toMap
 
-  /** Similarity of two memories: P(uniform draw from a == uniform draw from b). */
-  def similarity(a: Array[Long], b: Array[Long]): Double =
-    PostKernel.matches(PostKernel.labelCounts(a), PostKernel.labelCounts(b)).toDouble /
-      (a.length.toLong * b.length)
-
-  /** Occurrences of `label` in a histogram (0 if absent). */
-  def count(c: LabelCounts, label: Long): Int = {
-    val k = java.util.Arrays.binarySearch(c.labels, label)
-    if (k >= 0) c.counts(k) else 0
+  /** Similarity of two memories: P(uniform draw from a == uniform draw from b),
+    * through [[PostKernel.Scatter]] over `[0, max label + 1)`.
+    */
+  def similarity(a: Array[Long], b: Array[Long]): Double = {
+    val scatter = new PostKernel.Scatter((a ++ b).max.toInt + 1)
+    scatter.load(a)
+    scatter.matches(b).toDouble / (a.length.toLong * b.length)
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.PostFixtures._
-import repro.graph.{ConnectedComponents, EdgeWeights, SpanningForest}
+import repro.graph.{ConnectedComponents, EdgeWeights, LocalGraph, SpanningForest}
 import repro.metrics.SizeEntropyOracle
 import repro.util.SplitMix64
 
@@ -44,6 +44,26 @@ class PostKernelSpec extends AnyFunSuite {
       SpanningForest.local(n, new EdgeWeights(ks.map(w.u), ks.map(w.v), ks.map(w.w)))
     }
     new EdgeWeights(fs.flatMap(_.u).toArray, fs.flatMap(_.v).toArray, fs.flatMap(_.w).toArray)
+  }
+
+  test("edge weights equal the brute-force count over label pairs / len^2") {
+    val rng = new SplitMix64(31)
+    for (memLen <- Seq(1, 2, 13, 201); _ <- 0 until 5) {
+      val n = 2 + rng.nextInt(40)
+      // Vertices n - 2 and n - 1 get no edges; labels repeat (few distinct ids).
+      val es = Seq.fill(rng.nextInt(3 * n)) { (rng.nextInt(math.max(n - 2, 1)), rng.nextInt(math.max(n - 2, 1))) }
+      val g = LocalGraph.fromEdges(n, es)
+      val distinct = 1 + rng.nextInt(n)
+      val labels = Array.fill(n)(Array.fill(memLen)(rng.nextInt(distinct).toLong))
+      val w = PostProcess.edgeWeights(g, labels)
+      assert(w.size == g.numEdges)
+      for (k <- 0 until w.size) {
+        val a = labels(w.u(k)); val b = labels(w.v(k))
+        var hits = 0L
+        for (x <- a; y <- b) if (x == y) hits += 1
+        assert(w.w(k) == hits.toDouble / (memLen.toLong * memLen), s"edge (${w.u(k)}, ${w.v(k)}) memLen=$memLen")
+      }
+    }
   }
 
   for (seed <- 0 until 8) {

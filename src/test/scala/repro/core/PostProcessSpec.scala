@@ -114,9 +114,12 @@ class PostProcessSpec extends AnyFunSuite {
     assert(hasA && hasB, s"cover=$cover")
   }
 
-  test("labelCounts histogram") {
-    val m = PostKernel.labelCounts(Array(2L, 1L, 2L, 1L, 1L, 5L))
-    assert(count(m, 1L) == 3 && count(m, 2L) == 2 && count(m, 5L) == 1 && count(m, 7L) == 0)
-    assert(m.labels.toSeq == Seq(1L, 2L, 5L) && m.counts.toSeq == Seq(3, 2, 1))
+  test("edgeWeights rejects a label outside [0, n), naming the vertex and the label") {
+    val g = LocalGraph.fromEdges(3, Seq((0, 1), (1, 2)))
+    for (bad <- Seq(3L, -1L)) {
+      val mems = Array(Array(0L, 1L), Array(1L, 1L), Array(2L, bad))
+      val e = intercept[IllegalArgumentException](PostProcess.edgeWeights(g, mems))
+      assert(e.getMessage.contains(s"vertex 2 holds label $bad outside [0, 3)"), e.getMessage)
+    }
   }
 }

@@ -20,8 +20,15 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     val local = asMap(PostProcess.edgeWeights(g, localSt.labels))
     assert(dist.size == local.size)
     local.foreach { case ((u, v), w) =>
-      assert(math.abs(dist((u.toLong, v.toLong)) - w) < 1e-12, s"weight differs at ($u,$v)")
+      assert(dist((u.toLong, v.toLong)) == w, s"weight differs at ($u,$v)")
     }
+  }
+
+  test("spark edge weights reject a label that is not a vertex id") {
+    val lbls = sc.parallelize(Seq((0L, Array(0L, 1L)), (1L, Array(1L, 1L)), (5L, Array(5L, 3L))))
+    val edges = sc.parallelize(Seq((0L, 1L), (1L, 5L)))
+    val e = intercept[Exception](SparkPostProcess.edgeWeights(lbls, edges, 2).collect())
+    assert(e.getMessage.contains("vertex 5 holds label 3, which is not a vertex id"), e.getMessage)
   }
 
   test("DataFrame edge weights agree with DuckDB (Oracle)") {
