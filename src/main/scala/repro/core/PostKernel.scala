@@ -5,8 +5,8 @@ import repro.metrics.SizeEntropy
 
 /** The kernels of rSLPA post-processing (§III-B) that the local and the
   * Spark engine both call, so they compute bit-identical weights and pick
-  * the same τ2 and τ1 from the same labels, or from a maximum spanning
-  * forest of the weights ([[SpanningForest]]).
+  * the same τ2, τ1 and cover from the same labels, or from a maximum
+  * spanning forest of the weights ([[SpanningForest]]).
   */
 object PostKernel {
 
@@ -104,5 +104,34 @@ object PostKernel {
       k += 1
     }
     best
+  }
+
+  /** Each vertex's component root among the edges of `w` on `[0, n)` with
+    * w ≥ τ1, or −1 for a vertex alone in its component.
+    */
+  def members(n: Int, w: EdgeWeights, tau1: Double): Array[Int] = {
+    val uf = new UnionFind(n)
+    var k = 0
+    while (k < w.size) { if (w.w(k) >= tau1) uf.union(w.u(k), w.v(k)); k += 1 }
+    Array.tabulate(n)(v => if (uf.size(v) >= 2) uf.find(v) else -1)
+  }
+
+  /** The cover of `member` ([[members]]): one community per root, plus
+    * every non-member that an edge of `w` with w ≥ τ2 joins to a member,
+    * added to that member's community — the overlap.
+    */
+  def cover(member: Array[Int], w: EdgeWeights, tau2: Double): Vector[Set[Int]] = {
+    val comms = new Array[scala.collection.mutable.Builder[Int, Set[Int]]](member.length) // by root
+    def add(r: Int, v: Int): Unit = { if (comms(r) == null) comms(r) = Set.newBuilder[Int]; comms(r) += v }
+    var v = 0
+    while (v < member.length) { if (member(v) >= 0) add(member(v), v); v += 1 }
+    var k = 0
+    while (k < w.size) {
+      val a = w.u(k); val b = w.v(k)
+      if (w.w(k) >= tau2 && (member(a) < 0) != (member(b) < 0))
+        if (member(a) < 0) add(member(b), a) else add(member(a), b)
+      k += 1
+    }
+    comms.iterator.filter(_ != null).map(_.result()).toVector
   }
 }

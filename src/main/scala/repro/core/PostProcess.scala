@@ -1,8 +1,6 @@
 package repro.core
 
-import repro.graph.{ConnectedComponents, EdgeWeights, LocalGraph}
-
-import scala.collection.mutable
+import repro.graph.{EdgeWeights, LocalGraph}
 
 /** rSLPA post-processing (§III-B of the paper), local engine.
   *
@@ -17,9 +15,10 @@ import scala.collection.mutable
   *  3. τ1 ∈ [τ2, max w] maximizing the size entropy of the connected
   *     components of the τ1-filtered graph (Eq. 1, "maximize information"),
   *     over a 60-step grid in one union–find sweep ([[PostKernel.chooseTau1]]);
-  *  4. communities = components with ≥ 2 vertices; an isolated vertex
-  *     joins the community of every non-isolated neighbor with w ≥ τ2 —
-  *     the mechanism that produces *overlap*.
+  *  4. communities = components with ≥ 2 vertices at τ1, one union–find
+  *     pass ([[PostKernel.members]]); an isolated vertex joins the
+  *     community of every non-isolated neighbor with w ≥ τ2 — the
+  *     mechanism that produces *overlap* ([[PostKernel.cover]]).
   * The Spark engine ([[SparkPostProcess]]) calls the same kernels.
   */
 object PostProcess {
@@ -58,34 +57,13 @@ object PostProcess {
   /** τ2 = min over non-isolated vertices of the max incident weight (Eq. 2). */
   def chooseTau2(g: LocalGraph, w: EdgeWeights): Double = PostKernel.tau2(g.n, w)
 
-  /** Components (≥ 2 vertices) of the graph restricted to edges with w ≥ τ1. */
-  def componentsAt(g: LocalGraph, w: EdgeWeights, tau1: Double): Vector[Set[Int]] = {
-    val kept = (0 until w.size).collect { case k if w.w(k) >= tau1 => (w.u(k), w.v(k)) }
-    val comp = ConnectedComponents.local(g.n, kept)
-    comp.zipWithIndex
-      .groupBy(_._1).valuesIterator
-      .map(_.map(_._2).toSet)
-      .filter(_.size >= 2)
-      .toVector
-  }
-
   /** τ1 = argmax of size entropy in [τ2, max w] (Eq. 1), see [[PostKernel.chooseTau1]]. */
   def chooseTau1(g: LocalGraph, w: EdgeWeights, tau2: Double): Double =
     PostKernel.chooseTau1(g.n, w, tau2)
 
-  /** Steps 3–4 for *given* thresholds. */
-  def extractAt(g: LocalGraph, w: EdgeWeights, tau1: Double, tau2: Double): Vector[Set[Int]] = {
-    val comms = componentsAt(g, w, tau1)
-    val inComm = Array.fill(g.n)(-1)
-    comms.zipWithIndex.foreach { case (c, ci) => c.foreach(v => inComm(v) = ci) }
-    val extra = Array.fill(comms.size)(mutable.HashSet.empty[Int])
-    for (k <- 0 until w.size if w.w(k) >= tau2) {
-      val u = w.u(k); val v = w.v(k)
-      if (inComm(u) < 0 && inComm(v) >= 0) extra(inComm(v)) += u
-      if (inComm(v) < 0 && inComm(u) >= 0) extra(inComm(u)) += v
-    }
-    comms.zipWithIndex.map { case (c, ci) => c ++ extra(ci) }
-  }
+  /** Step 4 for *given* thresholds: [[PostKernel.cover]] at τ2 of [[PostKernel.members]] at τ1. */
+  def extractAt(g: LocalGraph, w: EdgeWeights, tau1: Double, tau2: Double): Vector[Set[Int]] =
+    PostKernel.cover(PostKernel.members(g.n, w, tau1), w, tau2)
 
   /** The complete §III-B pipeline on a finished label propagation. */
   def extract(g: LocalGraph, labels: Array[Array[Long]]): Vector[Set[Int]] = {

@@ -2,23 +2,21 @@ package repro.core
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
-import repro.graph.{ConnectedComponents, SpanningForest}
+import repro.graph.{EdgeWeights, SpanningForest}
 
 /** Distributed rSLPA post-processing (§III-B): edge similarity weights,
   * threshold selection (Eqs. 1–2) and community extraction via connected
   * components with weight filtering — "we slightly change the existing
   * algorithm of finding connected components by adding filtering on edge
-  * weights" (§V-B2): τ2, τ1 and the components at τ1 each come from one
-  * Kruskal-filtering pass ([[SpanningForest.spark]]) over any `Long` ids.
-  * Weights, τ2 and τ1 call the local engine's kernels ([[PostKernel]]), so
-  * both engines choose bit-identical thresholds from the same labels.
+  * weights" (§V-B2): τ2, τ1 and the components at τ1 all come from one
+  * maximum spanning forest of the weights ([[SpanningForest.spark]]) over
+  * any `Long` ids. Weights, τ2, τ1 and the cover call the local engine's
+  * kernels ([[PostKernel]]): both engines give the same ones from the same labels.
   */
 object SparkPostProcess {
 
-  /** Extraction result: overlapping assignments `(vertex, communityId)`
-    * plus the chosen thresholds.
-    */
-  final case class SparkCover(assignments: RDD[(Long, Long)], tau1: Double, tau2: Double)
+  /** Extraction result: the overlapping communities, as vertex ids, and τ1, τ2. */
+  final case class SparkCover(cover: Vector[Set[Long]], tau1: Double, tau2: Double)
 
   /** w_uv = P(uniform draw from L_u = uniform draw from L_v) for every
     * canonical (u < v) edge. `memLen` is the memory length (T + 1). Labels
@@ -78,35 +76,29 @@ object SparkPostProcess {
     PostKernel.chooseTau1(n.toInt, f, tau2)
   }
 
-  /** Full extraction: components at τ1 are communities; an isolated vertex
-    * joins the community of every non-isolated neighbor with w ≥ τ2.
+  /** Full extraction from one Kruskal-filtering pass over w: the forest
+    * gives τ2, τ1 and the components at τ1 ([[PostKernel.members]]) on the
+    * driver. One pass over w against the broadcast membership collects the
+    * edges with w ≥ τ2 that join a member to a non-member, and
+    * [[PostKernel.cover]] attaches over them, as in the local engine. Two
+    * jobs after the weights and the vertex count; w is unpersisted after.
     */
   def extract(labels: RDD[(Long, Array[Long])], edges: RDD[(Long, Long)],
               memLen: Int): SparkCover = {
     val w = edgeWeights(labels, edges, memLen).persist(StorageLevel.MEMORY_AND_DISK)
     val n = labels.count()
-    val tau2 = chooseTau2(w)
-    val tau1 = chooseTau1(w, tau2, n)
-
-    val comp = ConnectedComponents.spark(w.collect { case ((u, v), x) if x >= tau1 => (u, v) })
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    val sizes = comp.map { case (_, c) => (c, 1) }.reduceByKey(_ + _)
-    val member = comp
-      .map { case (v, c) => (c, v) }
-      .join(sizes.filter(_._2 >= 2))
-      .map { case (c, (v, _)) => (v, c) }
-      .persist(StorageLevel.MEMORY_AND_DISK)
-
-    // Isolated vertex u attaches to member neighbor v's community if w >= tau2.
-    val strong = w.filter(_._2 >= tau2)
-      .flatMap { case ((u, v), _) => Iterator((u, v), (v, u)) } // (maybeIsolated, nbr)
-    val attach = strong
-      .leftOuterJoin(member) // is the left endpoint already a member?
-      .collect { case (u, (v, None)) => (v, u) }
-      .join(member)          // neighbor's community
-      .map { case (_, (u, c)) => (u, c) }
-
-    val assignments = member.union(attach).distinct()
-    SparkCover(assignments, tau1, tau2)
+    val (ids, f) = SpanningForest.spark(w)
+    val tau2 = PostKernel.tau2(ids.length, f)
+    val tau1 = PostKernel.chooseTau1(n.toInt, f, tau2) // w's vertices are keys of labels
+    val member = PostKernel.members(ids.length, f, tau1)
+    val b = w.sparkContext.broadcast((ids, member))
+    val attach = w.flatMap { case ((u, v), x) =>
+      val (ids, member) = b.value
+      val i = java.util.Arrays.binarySearch(ids, u); val j = java.util.Arrays.binarySearch(ids, v)
+      if (x >= tau2 && (member(i) < 0) != (member(j) < 0)) Some((i, j, x)) else None
+    }.collect()
+    w.unpersist()
+    val cover = PostKernel.cover(member, new EdgeWeights(attach.map(_._1), attach.map(_._2), attach.map(_._3)), tau2)
+    SparkCover(cover.map(_.map(ids(_))), tau1, tau2)
   }
 }

@@ -55,11 +55,11 @@ object EfficiencyExperiments {
           .persist(StorageLevel.MEMORY_AND_DISK)
         st.count(); st
       }
-      // rSLPA post-processing: edge weights + τ selection + a CC run — the
-      // expensive part, as the paper observes.
+      // rSLPA post-processing: edge weights + τ selection + components at τ1
+      // — the expensive part, as the paper observes.
       val (_, rPost) = timed {
         SparkPostProcess.extract(rState.mapValues(_.labels), GraphOps.edgesRDD(sc, g),
-          rslpaT + 1).assignments.count()
+          rslpaT + 1).cover.size
       }
 
       Seq(

@@ -8,7 +8,9 @@ import org.apache.spark.rdd.RDD
   * the similarity-filtered graph, citing a MapReduce CC algorithm (Chitnis
   * et al., ICDE 2013). The Spark engine instead uses Kruskal filtering
   * ([[SpanningForest.spark]], Lattanzi et al., SPAA 2011), which gives the
-  * same components in one pass.
+  * same components in one pass: extraction reads them from the weighted
+  * forest at τ1 ([[repro.core.PostKernel.members]]), and [[spark]] is kept
+  * only for the benchmark harness, which still times it.
   */
 object ConnectedComponents {
 

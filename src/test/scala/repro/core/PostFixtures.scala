@@ -15,6 +15,12 @@ object PostFixtures {
   def asMap(w: EdgeWeights): Map[(Int, Int), Double] =
     (0 until w.size).map(k => (w.u(k), w.v(k)) -> w.w(k)).toMap
 
+  /** The communities of a [[PostKernel.members]] array: its vertices
+    * grouped by root, without the −1 ones.
+    */
+  def groups(member: Array[Int]): Set[Set[Int]] =
+    member.indices.filter(member(_) >= 0).groupBy(member(_)).values.map(_.toSet).toSet
+
   /** Similarity of two memories: P(uniform draw from a == uniform draw from b),
     * through [[PostKernel.Scatter]] over `[0, max label + 1)`.
     */

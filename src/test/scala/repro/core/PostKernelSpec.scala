@@ -6,6 +6,8 @@ import repro.graph.{ConnectedComponents, EdgeWeights, LocalGraph, SpanningForest
 import repro.metrics.SizeEntropyOracle
 import repro.util.SplitMix64
 
+import scala.collection.mutable
+
 /** The shared post-processing kernels against straightforward oracles. */
 class PostKernelSpec extends AnyFunSuite {
 
@@ -44,6 +46,42 @@ class PostKernelSpec extends AnyFunSuite {
       SpanningForest.local(n, new EdgeWeights(ks.map(w.u), ks.map(w.v), ks.map(w.w)))
     }
     new EdgeWeights(fs.flatMap(_.u).toArray, fs.flatMap(_.v).toArray, fs.flatMap(_.w).toArray)
+  }
+
+  /** Components (≥ 2 vertices) of the edges of `w` with weight ≥ τ, by
+    * breadth-first search.
+    */
+  private def bfsComponents(n: Int, w: Map[(Int, Int), Double], tau: Double): Set[Set[Int]] = {
+    val adj = Array.fill(n)(List.empty[Int])
+    for (((a, b), x) <- w if x >= tau) { adj(a) ::= b; adj(b) ::= a }
+    val seen = new Array[Boolean](n)
+    (0 until n).iterator.filterNot(seen).map { s =>
+      seen(s) = true
+      val comp = mutable.ArrayBuffer(s)
+      var i = 0
+      while (i < comp.length) {
+        for (x <- adj(comp(i)) if !seen(x)) { seen(x) = true; comp += x }
+        i += 1
+      }
+      comp.toSet
+    }.filter(_.size >= 2).toSet
+  }
+
+  for (parts <- Seq(1, 2, 3, 7)) {
+    test(s"members over partition forests gives the BFS components at every weight (parts=$parts)") {
+      val rng = new SplitMix64(900 + parts)
+      for (_ <- 0 until 10) {
+        val n = 5 + rng.nextInt(60)
+        val map = randomWeights(rng, n, rng.nextInt(3 * n), 1 + rng.nextInt(8))
+        val w = weights(map)
+        val f = forests(n, w, parts)
+        for (tau <- map.values.toSet[Double]) {
+          val oracle = bfsComponents(n, map, tau)
+          assert(groups(PostKernel.members(n, w, tau)) == oracle, s"all of w: n=$n m=${w.size} tau=$tau")
+          assert(groups(PostKernel.members(n, f, tau)) == oracle, s"forests: n=$n m=${w.size} tau=$tau")
+        }
+      }
+    }
   }
 
   test("edge weights equal the brute-force count over label pairs / len^2") {

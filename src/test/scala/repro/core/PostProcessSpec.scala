@@ -57,11 +57,13 @@ class PostProcessSpec extends AnyFunSuite {
     assert(PostProcess.chooseTau2(g, w) == 0.6)
   }
 
-  test("componentsAt keeps only components with >= 2 vertices") {
-    val g = LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (3, 4)))
+  test("members marks a vertex alone in its component with -1") {
     val w = weights(Map((0, 1) -> 0.9, (1, 2) -> 0.1, (3, 4) -> 0.8))
-    val comms = PostProcess.componentsAt(g, w, tau1 = 0.5)
-    assert(comms.toSet == Set(Set(0, 1), Set(3, 4)))
+    val member = PostKernel.members(5, w, tau1 = 0.5)
+    assert(member(2) == -1)
+    assert(groups(member) == Set(Set(0, 1), Set(3, 4)))
+    assert(PostProcess.extractAt(LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (3, 4))), w, 0.5, 0.5).toSet ==
+      Set(Set(0, 1), Set(3, 4)))
   }
 
   test("chooseTau1 maximizes size entropy") {
@@ -75,8 +77,7 @@ class PostProcessSpec extends AnyFunSuite {
       (2, 3) -> 0.3))
     val tau1 = PostProcess.chooseTau1(g, w, tau2 = 0.1)
     assert(tau1 > 0.3 && tau1 <= 0.9, s"tau1=$tau1 should exclude the weak bridge")
-    val comms = PostProcess.componentsAt(g, w, tau1)
-    assert(comms.toSet == Set(Set(0, 1, 2), Set(3, 4, 5)))
+    assert(groups(PostKernel.members(g.n, w, tau1)) == Set(Set(0, 1, 2), Set(3, 4, 5)))
   }
 
   test("extractAt attaches isolated vertices above tau2 (producing overlap)") {

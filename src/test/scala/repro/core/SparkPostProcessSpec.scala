@@ -66,8 +66,7 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     val cover = SparkPostProcess.extract(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
     val localW = PostProcess.edgeWeights(g, localSt.labels)
     val localCover = PostProcess.extractAt(g, localW, cover.tau1, cover.tau2)
-    val distCover = cover.assignments.collect()
-      .groupBy(_._2).values.map(_.map(_._1.toInt).toSet).toSet
+    val distCover = cover.cover.map(_.map(_.toInt)).toSet
     assert(distCover == localCover.toSet,
       s"covers differ: dist=${distCover.size} local=${localCover.size} communities")
     // Both engines choose the same thresholds, so the covers are equal outright.
@@ -91,7 +90,7 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     val iso = LocalGraph.fromEdges(3, Nil)
     val lbls = sc.parallelize(Seq((0L, Array(0L)), (1L, Array(1L)), (2L, Array(2L))))
     val cover = SparkPostProcess.extract(lbls, sc.emptyRDD[(Long, Long)], 1)
-    assert(cover.assignments.isEmpty())
+    assert(cover.cover.isEmpty)
   }
 
   /** Sparse ids, increasing in `v`, beyond the `Int` range. */
@@ -108,9 +107,48 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
       assert(SparkPostProcess.chooseTau1(w, tau2, g.n) == PostProcess.chooseTau1(g, localW, tau2))
       w.unpersist()
       val cover = SparkPostProcess.extract(labels, edges, 13)
-      val dense = cover.assignments.collect().groupBy(_._2).values
-        .map(_.map { case (v, _) => ((v - 5) >> 33).toInt }.toSet).toSet
+      val dense = cover.cover.map(_.map(v => ((v - 5) >> 33).toInt)).toSet
       assert(dense == PostProcess.extract(g, localSt.labels).toSet)
+    }
+  }
+
+  test("extract leaves no RDD persisted") {
+    val before = sc.getPersistentRDDs.keySet
+    SparkPostProcess.extract(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
+    assert(sc.getPersistentRDDs.keySet == before)
+  }
+
+  /** Three 4-cliques in a ring, each neighbouring pair joined through a
+    * bridge vertex adjacent to all eight of their vertices. A clique's
+    * memories hold only its first vertex, a bridge's half of each side's
+    * clique label, so a bridge edge weighs 1/2 and a clique edge 1: τ2 = 1/2,
+    * τ1 > 1/2, and each bridge joins both its communities. The bridges close
+    * a cycle, so every spanning forest drops a bridge edge: only w itself
+    * attaches each bridge to both sides.
+    */
+  private lazy val (ring, ringLabels) = {
+    def clique(c: Int) = (5 * c until 5 * c + 4).toVector
+    val edges = (0 until 3).flatMap { c =>
+      val bridge = 5 * c + 4
+      clique(c).combinations(2).map { case Seq(a, b) => (a, b) } ++
+        (clique(c) ++ clique((c + 1) % 3)).map(v => (v, bridge))
+    }
+    val labels = Array.tabulate(15) { v =>
+      val (a, b) = (5L * (v / 5), 5L * ((v / 5 + 1) % 3))
+      if (v % 5 < 4) Array(a, a, a, a) else Array(a, a, b, b)
+    }
+    (LocalGraph.fromEdges(15, edges), labels)
+  }
+
+  for (parts <- Seq(1, 3, 8)) {
+    test(s"spark extract equals the local cover where communities overlap, dense and sparse ids (parts=$parts)") {
+      val local = PostProcess.extract(ring, ringLabels).toSet
+      assert((0 until ring.n).exists(v => local.count(_.contains(v)) >= 2), s"no vertex in two communities: $local")
+      for (id <- Seq((v: Long) => v, sparse _)) {
+        val labels = sc.parallelize((0 until ring.n).map(v => (id(v), ringLabels(v).map(id))), parts)
+        val edges = sc.parallelize(ring.edges.map { case (u, v) => (id(u), id(v)) }, parts)
+        assert(SparkPostProcess.extract(labels, edges, 4).cover.toSet == local.map(_.map(v => id(v))))
+      }
     }
   }
 
