@@ -13,7 +13,10 @@ class Figure8Bench extends AnyFunSuite with SparkSpec {
   test("Fig. 8: static running time of SLPA vs rSLPA") {
     val rows = Figure8.run(spark)
     Figure8.print(rows)
+    BenchJson.write("fig8", rows)
 
+    // The gates read the paper's per-iteration rSLPA; the pointer-jumping
+    // row is reported beside it.
     val slpa = rows.find(_.algo == "SLPA").get
     val rslpa = rows.find(_.algo == "rSLPA").get
     // Paper: SLPA is >5x slower per iteration (O(|E|) vs O(|V|) messages).

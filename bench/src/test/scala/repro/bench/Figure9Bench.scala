@@ -13,8 +13,11 @@ class Figure9Bench extends AnyFunSuite with SparkSpec {
   test("Fig. 9: incremental updating vs from scratch") {
     val rows = Figure9.run(spark)
     Figure9.print(rows)
+    BenchJson.write("fig9", rows)
 
     // Paper: incremental beats from-scratch (clearly so for small batches).
+    // Scratch is the paper's per-iteration Algorithm 1; the pointer-jumping
+    // column is reported beside it.
     val small = rows.head
     assert(small.incrementalSec < small.scratchSec,
       s"incremental ${small.incrementalSec}s should beat scratch ${small.scratchSec}s at batch=${small.batchSize}")

@@ -13,7 +13,7 @@ object Reproduce {
     lazy val spark = SparkSession.builder.appName("repro").getOrCreate()
     val tables = Seq[(String, () => Unit)](
       "table1" -> (() => TableI.print(TableI.run())),
-      "table2" -> (() => TableII.print(TableII.run(spark))),
+      "table2" -> (() => TableII.print(TableII.run())),
       "fig7a" -> (() => Convergence.print(Convergence.run())),
       "fig7b" -> (() => vsN.print(vsN.run())),
       "fig7c" -> (() => vsK.print(vsK.run())),

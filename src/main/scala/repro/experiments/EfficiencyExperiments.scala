@@ -1,10 +1,12 @@
 package repro.experiments
 
+import org.apache.spark.SparkContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
 import repro.core.{SparkCorrection, SparkPostProcess, SparkRSLPA}
 import repro.dynamic.EditBatch
-import repro.graph.{GraphGen, GraphOps}
+import repro.graph.{GraphGen, GraphOps, LocalGraph}
 import repro.slpa.SparkSLPA
 import repro.util.BenchUtil
 import repro.util.BenchUtil.{f2, timed}
@@ -15,13 +17,28 @@ import repro.util.BenchUtil.{f2, timed}
   */
 object EfficiencyExperiments {
 
+  /** rSLPA from scratch with records, its labels from the paper's
+    * per-iteration Algorithm 1 (the baseline every gate reads) or from
+    * pointer jumping (the extra row or column).
+    */
+  private def scratch(sc: SparkContext, g: LocalGraph, T: Int, seed: Long,
+                      perIteration: Boolean): RDD[(Long, SparkRSLPA.RVState)] = {
+    val adj = GraphOps.adjacencyRDD(sc, g)
+    val parts = sc.defaultParallelism
+    val labels =
+      if (perIteration) SparkRSLPA.propagateLabelsPerIteration(adj, T, seed, parts)
+      else SparkRSLPA.propagateLabels(adj, T, seed, parts)
+    SparkRSLPA.withRecords(labels, T, seed, parts)
+  }
+
   final case class Figure8Row(algo: String, iters: Int,
                               propagateSec: Double, perIterSec: Double,
                               postSec: Double, totalSec: Double)
 
   /** Fig. 8 — static running time: label propagation and post-processing
     * for SLPA (T iterations) and rSLPA (2T: the paper's 100:200 ratio, both
-    * scaled down). Scale, raw edges and T: `REPRO_F8_SCALE/EDGES/T`.
+    * scaled down), rSLPA once per iteration as in the paper and once by
+    * pointer jumping. Scale, raw edges and T: `REPRO_F8_SCALE/EDGES/T`.
     */
   object Figure8 {
     val Scale = sys.env.getOrElse("REPRO_F8_SCALE", "17").toInt
@@ -48,23 +65,26 @@ object EfficiencyExperiments {
         }.groupByKey().filter(_._2.size >= 2).count()
       }
 
-      // Persisted inside the propagation timing, so post-processing reads
-      // the state instead of rebuilding its receiver records.
-      val (rState, rProp) = timed {
-        val st = SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g), rslpaT, seed + 1)
-          .persist(StorageLevel.MEMORY_AND_DISK)
-        st.count(); st
-      }
-      // rSLPA post-processing: edge weights + τ selection + components at τ1
-      // — the expensive part, as the paper observes.
-      val (_, rPost) = timed {
-        SparkPostProcess.extract(rState.mapValues(_.labels), GraphOps.edgesRDD(sc, g),
-          rslpaT + 1).cover.size
+      // The state is persisted inside the propagation timing, so
+      // post-processing reads it instead of rebuilding its receiver records.
+      // Post-processing (edge weights + τ selection + components at τ1) is
+      // the expensive part, as the paper observes.
+      def rslpa(algo: String, perIteration: Boolean): Figure8Row = {
+        val (st, prop) = timed {
+          val st = scratch(sc, g, rslpaT, seed + 1, perIteration).persist(StorageLevel.MEMORY_AND_DISK)
+          st.count(); st
+        }
+        val (_, post) = timed {
+          SparkPostProcess.extract(st.mapValues(_.labels), GraphOps.edgesRDD(sc, g), rslpaT + 1).cover.size
+        }
+        st.unpersist()
+        Figure8Row(algo, rslpaT, prop, prop / rslpaT, post, prop + post)
       }
 
       Seq(
         Figure8Row("SLPA", SlpaT, slpaProp, slpaProp / SlpaT, slpaPost, slpaProp + slpaPost),
-        Figure8Row("rSLPA", rslpaT, rProp, rProp / rslpaT, rPost, rProp + rPost)
+        rslpa("rSLPA", perIteration = true),
+        rslpa("rSLPA (pointer jumping)", perIteration = false)
       )
     }
 
@@ -76,13 +96,15 @@ object EfficiencyExperiments {
           f2(r.perIterSec), f2(r.postSec), f2(r.totalSec))))
   }
 
-  final case class Figure9Row(batchSize: Int, incrementalSec: Double,
-                              scratchSec: Double, repicked: Long, corrected: Long)
+  final case class Figure9Row(batchSize: Int, incrementalSec: Double, scratchSec: Double,
+                              scratchJumpingSec: Double, repicked: Long, corrected: Long)
 
   /** Fig. 9 — incremental updating vs running from scratch per batch size,
     * half insertions / half deletions picked uniformly (§V-B1); the paper's
     * 100..100,000 on 170M edges becomes 100..10,000, so the batch/|E| ratios
-    * cover the same range. Scale, raw edges and T: `REPRO_F9_SCALE/EDGES/T`.
+    * cover the same range. Scratch is the paper's per-iteration Algorithm 1,
+    * with pointer jumping timed beside it. Scale, raw edges and T:
+    * `REPRO_F9_SCALE/EDGES/T`.
     */
   object Figure9 {
     val Scale = sys.env.getOrElse("REPRO_F9_SCALE", "14").toInt
@@ -115,18 +137,19 @@ object EfficiencyExperiments {
           st.count()
           (st, s)
         }
-        val (_, scratchSec) = timed {
-          SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g1), T, seed + 997 + i).count()
-        }
-        Figure9Row(b, incSec, scratchSec, stats.repicked, stats.corrected)
+        val (_, scratchSec) = timed(scratch(sc, g1, T, seed + 997 + i, perIteration = true).count())
+        val (_, jumpingSec) = timed(scratch(sc, g1, T, seed + 997 + i, perIteration = false).count())
+        Figure9Row(b, incSec, scratchSec, jumpingSec, stats.repicked, stats.corrected)
       }
     }
 
     def print(rows: Seq[Figure9Row]): Unit =
       BenchUtil.printTable(
         "Fig. 9 — incremental vs scratch (seconds); paper: incremental wins, sublinear in batch",
-        Seq("batch", "incremental (s)", "scratch (s)", "speedup", "repicked", "corrected"),
+        Seq("batch", "incremental (s)", "scratch (s)", "speedup", "scratch, pointer jumping (s)",
+          "repicked", "corrected"),
         rows.map(r => Seq(r.batchSize.toString, f2(r.incrementalSec), f2(r.scratchSec),
-          f2(r.scratchSec / r.incrementalSec), r.repicked.toString, r.corrected.toString)))
+          f2(r.scratchSec / r.incrementalSec), f2(r.scratchJumpingSec),
+          r.repicked.toString, r.corrected.toString)))
   }
 }

@@ -1,6 +1,5 @@
 package repro.experiments
 
-import org.apache.spark.sql.SparkSession
 import repro.graph.{GraphGen, GraphStats, TableIIStats}
 import repro.lfr.{LFRGenerator, LFRInstance, LFRParams}
 import repro.util.BenchUtil
@@ -54,12 +53,14 @@ object TableI {
 
 /** Table II — statistics of the web-graph dataset used by the efficiency
   * experiments: the paper's eu-2015-tpd crawl (6.65M nodes, 170M edges)
-  * next to our directed RMAT substitute, ~120× smaller (DESIGN.md).
+  * next to the directed RMAT graph that Fig. 8 runs on (DESIGN.md).
   */
 object TableII {
 
-  def run(spark: SparkSession): TableIIStats =
-    GraphStats.tableII(spark, GraphGen.rmatEdges(spark, scale = 16, numEdges = 1200000L, seed = 2015))
+  def run(): TableIIStats = {
+    import EfficiencyExperiments.Figure8.{RawEdges, Scale}
+    GraphStats.tableII(GraphGen.webGraphLocal(Scale, RawEdges, seed = 2015)._1)
+  }
 
   def print(s: TableIIStats): Unit =
     BenchUtil.printTable("Table II — web graph statistics",

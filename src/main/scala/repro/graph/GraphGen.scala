@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.util.{Rng, SplitMix64}
 
 /** Synthetic graph generators.
@@ -43,19 +42,6 @@ object GraphGen {
       bit += 1
     }
     (u, v)
-  }
-
-  /** Directed RMAT edges as a DataFrame (`src`, `dst`), generated in
-    * parallel on executors, deterministic in `seed`.
-    */
-  def rmatEdges(spark: SparkSession, scale: Int, numEdges: Long, seed: Long): DataFrame = {
-    import spark.implicits._
-    spark.range(numEdges).rdd
-      .map { i =>
-        val rng = Rng.forItem(seed, i, Rng.SaltGen)
-        rmatOne(scale, rng)
-      }
-      .toDF("src", "dst")
   }
 
   /** Undirect, dedupe and drop self-loops: canonical (u < v) edge list. */

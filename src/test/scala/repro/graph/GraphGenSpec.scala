@@ -1,9 +1,8 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 
-class GraphGenSpec extends AnyFunSuite with SparkSpec {
+class GraphGenSpec extends AnyFunSuite {
 
   test("rmatEdgesLocal is deterministic in seed") {
     val a = GraphGen.rmatEdgesLocal(8, 500, seed = 1)
@@ -24,13 +23,6 @@ class GraphGenSpec extends AnyFunSuite with SparkSpec {
     val max = outDeg.max
     val mean = outDeg.sum.toDouble / outDeg.size
     assert(max > 4 * mean, s"expected heavy tail, max=$max mean=$mean")
-  }
-
-  test("spark rmat generator matches the local one") {
-    val local = GraphGen.rmatEdgesLocal(7, 400, seed = 5)
-    val dist = GraphGen.rmatEdges(spark, 7, 400, seed = 5)
-      .collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
-    assert(dist.sorted == local.sorted)
   }
 
   test("undirectLocal canonicalizes, dedupes and drops self-loops") {

@@ -5,14 +5,16 @@ import repro.{Oracle, SparkSpec}
 
 class GraphStatsSpec extends AnyFunSuite with SparkSpec {
 
-  private lazy val directed = GraphGen.rmatEdgesLocal(8, 800, seed = 21)
-  private lazy val df = {
+  private lazy val directed = GraphGen.webGraphLocal(8, 800, seed = 21)._1
+
+  /** The directed edges as a DuckDB table for [[Oracle]]. */
+  private def edgesTable = {
     import spark.implicits._
-    directed.toDF("src", "dst")
+    "edges" -> directed.toDF("src", "dst")
   }
 
-  /** The statistics of [[GraphStats.tableII]] computed locally, as its oracle. */
-  private def tableIILocal(directed: Seq[(Long, Long)]): TableIIStats = {
+  /** The statistics of [[GraphStats.tableII]] computed with collections, as its oracle. */
+  private def tableIINaive(directed: Seq[(Int, Int)]): TableIIStats = {
     val e = directed.filter { case (s, d) => s != d }.distinct
     val nodes = e.flatMap { case (s, d) => Seq(s, d) }.distinct.size.toLong
     val maxOut = e.groupBy(_._1).values.map(_.size).max.toLong
@@ -21,50 +23,45 @@ class GraphStatsSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("tableII matches the local computation") {
-    val got = GraphStats.tableII(spark, df)
-    val exp = tableIILocal(directed)
-    assert(got == exp)
+    assert(GraphStats.tableII(directed) == tableIINaive(directed))
   }
 
   test("tableII average degree is edges/nodes") {
-    val s = GraphStats.tableII(spark, df)
+    val s = GraphStats.tableII(directed)
     assert(math.abs(s.avgDegree - s.edges.toDouble / s.nodes) < 1e-12)
   }
 
   test("tableII on a tiny hand graph") {
-    import spark.implicits._
-    val tiny = Seq((1L, 2L), (1L, 3L), (2L, 3L), (3L, 1L), (4L, 4L)).toDF("src", "dst")
-    val s = GraphStats.tableII(spark, tiny)
-    // (4,4) is a self-loop and is dropped; 4 distinct directed edges remain
-    // over nodes {1,2,3}; vertex 1 has out-degree 2, vertex 3 in-degree 2.
+    val s = GraphStats.tableII(Seq((1, 2), (1, 3), (2, 3), (3, 1), (4, 4), (1, 2)))
+    // (4,4) is a self-loop and (1,2) a repeat, both dropped; 4 distinct
+    // directed edges remain over nodes {1,2,3}; vertex 1 has out-degree 2,
+    // vertex 3 in-degree 2.
     assert(s.nodes == 3 && s.edges == 4)
     assert(s.maxOutDegree == 2 && s.maxInDegree == 2)
   }
 
   test("canonicalDirected agrees with DuckDB (Oracle)") {
     import spark.implicits._
-    val input = directed.toDF("src", "dst")
-    val sparkDf = GraphStats.canonicalDirected(input)
-      .groupBy("src").count()
-      .select(org.apache.spark.sql.functions.col("src"),
-              org.apache.spark.sql.functions.col("count").as("outdeg"))
+    val outdeg = GraphStats.canonicalDirected(directed).toSeq
+      .groupBy(_._1).map { case (s, es) => (s, es.size.toLong) }.toSeq
+      .toDF("src", "outdeg")
     Oracle.assertEquivalent(
-      sparkDf,
+      outdeg,
       "SELECT src, COUNT(*) AS outdeg FROM (SELECT DISTINCT src, dst FROM edges WHERE src <> dst) GROUP BY src",
-      "edges" -> input
+      edgesTable
     )
   }
 
   test("max in-degree agrees with DuckDB (Oracle)") {
     import spark.implicits._
-    import org.apache.spark.sql.functions._
-    val input = directed.toDF("src", "dst")
-    val sparkDf = GraphStats.canonicalDirected(input)
-      .groupBy("dst").count().agg(max("count").as("maxindeg"))
+    val s = GraphStats.tableII(directed)
     Oracle.assertEquivalent(
-      sparkDf,
-      "SELECT MAX(c) AS maxindeg FROM (SELECT dst, COUNT(*) AS c FROM (SELECT DISTINCT src, dst FROM edges WHERE src <> dst) GROUP BY dst)",
-      "edges" -> input
+      Seq((s.maxInDegree, s.nodes, s.edges)).toDF("maxindeg", "nodes", "edges"),
+      """WITH e AS (SELECT DISTINCT src, dst FROM edges WHERE src <> dst)
+        |SELECT (SELECT MAX(c) FROM (SELECT dst, COUNT(*) AS c FROM e GROUP BY dst)) AS maxindeg,
+        |       (SELECT COUNT(*) FROM (SELECT src AS v FROM e UNION SELECT dst FROM e)) AS nodes,
+        |       (SELECT COUNT(*) FROM e) AS edges""".stripMargin,
+      edgesTable
     )
   }
 }
