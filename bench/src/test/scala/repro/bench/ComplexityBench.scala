@@ -11,6 +11,7 @@ class ComplexityBench extends AnyFunSuite {
   test("correction-propagation cost vs the analytical model") {
     val rows = ComplexityExperiment.run()
     ComplexityExperiment.print(rows)
+    BenchJson.write("complexity", rows)
 
     rows.foreach { r =>
       assert(r.bestCase <= r.expected + 1e-6 && r.expected <= r.worstCase + 1e-6)

@@ -38,12 +38,12 @@ object EfficiencyExperiments {
   /** Fig. 8 — static running time: label propagation and post-processing
     * for SLPA (T iterations) and rSLPA (2T: the paper's 100:200 ratio, both
     * scaled down), rSLPA once per iteration as in the paper and once by
-    * pointer jumping. Scale, raw edges and T: `REPRO_F8_SCALE/EDGES/T`.
+    * pointer jumping.
     */
   object Figure8 {
-    val Scale = sys.env.getOrElse("REPRO_F8_SCALE", "17").toInt
-    val RawEdges = sys.env.getOrElse("REPRO_F8_EDGES", "1500000").toLong
-    val SlpaT = sys.env.getOrElse("REPRO_F8_T", "20").toInt
+    val Scale = 17
+    val RawEdges = 1500000L
+    val SlpaT = 20
 
     def run(spark: SparkSession): Seq[Figure8Row] = {
       val g = GraphGen.webGraphLocal(Scale, RawEdges, seed = 2015)._2
@@ -103,13 +103,12 @@ object EfficiencyExperiments {
     * half insertions / half deletions picked uniformly (§V-B1); the paper's
     * 100..100,000 on 170M edges becomes 100..10,000, so the batch/|E| ratios
     * cover the same range. Scratch is the paper's per-iteration Algorithm 1,
-    * with pointer jumping timed beside it. Scale, raw edges and T:
-    * `REPRO_F9_SCALE/EDGES/T`.
+    * with pointer jumping timed beside it.
     */
   object Figure9 {
-    val Scale = sys.env.getOrElse("REPRO_F9_SCALE", "14").toInt
-    val RawEdges = sys.env.getOrElse("REPRO_F9_EDGES", "200000").toLong
-    val T = sys.env.getOrElse("REPRO_F9_T", "200").toInt
+    val Scale = 14
+    val RawEdges = 200000L
+    val T = 200
     val Batches = Seq(100, 1000, 10000)
 
     def run(spark: SparkSession): Seq[Figure9Row] = {

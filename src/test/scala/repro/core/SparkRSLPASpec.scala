@@ -28,20 +28,20 @@ class SparkRSLPASpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  /** Pointer jumping and, up to `perIterationUpTo`, the per-iteration
-    * baseline, at 1, 3 and 8 partitions: each result keeps the hash
-    * partitioning, its labels equal [[LocalRSLPA.propagateLabelsOnly]] and,
-    * with records, its state equals [[LocalRSLPA.propagate]].
+  /** Pointer jumping and the per-iteration baseline at 1, 3 and 8
+    * partitions (per iteration at 3 only when T > 20, as each of its T
+    * rounds is one job): each result keeps the hash partitioning, its labels
+    * equal [[LocalRSLPA.propagateLabelsOnly]] and, with records, its state
+    * equals [[LocalRSLPA.propagate]].
     */
-  private def assertSparkPathsMatchLocal(g: LocalGraph, T: Int, seed: Long,
-                                         perIterationUpTo: Int = 20): Unit = {
+  private def assertSparkPathsMatchLocal(g: LocalGraph, T: Int, seed: Long): Unit = {
     val local = LocalRSLPA.propagate(g, T, seed)
     val labelsOnly = LocalRSLPA.propagateLabelsOnly(g, T, seed)
     val adj = GraphOps.adjacencyRDD(sc, g)
     val paths = Seq[(String, Int => RDD[(Long, PropState)])](
       "pointer jumping" -> (SparkRSLPA.propagateLabels(adj, T, seed, _)),
       "per iteration" -> (SparkRSLPA.propagateLabelsPerIteration(adj, T, seed, _)))
-    for (parts <- Parts; (name, run) <- paths if name != "per iteration" || T <= perIterationUpTo) {
+    for (parts <- Parts; (name, run) <- paths if name != "per iteration" || T <= 20 || parts == 3) {
       withClue(s"$name, parts=$parts, T=$T: ") {
         val labels = run(parts)
         assert(labels.partitioner.contains(new HashPartitioner(parts)))
@@ -116,34 +116,57 @@ class SparkRSLPASpec extends AnyFunSuite with SparkSpec {
       val rounds = ceilLog2(hops.max)
       if (T == 1) assert(rounds == 0) else assert(rounds >= 5, s"longest chain ${hops.max} hops")
 
+      // After r rounds slot t has moved `steps(r, t)` hops along its chain:
+      // 2^r when every open slot jumps; to its end for t <= r and not at all
+      // above when round r advances slot r + 1 only. Every round is checked
+      // under pointer jumping, the first four and the last per iteration.
+      val adj = GraphOps.adjacencyRDD(sc, g)
       val part = new HashPartitioner(3)
-      var table = SparkRSLPA.picks(GraphOps.adjacencyRDD(sc, g), T, seed, part).persist()
-      for (r <- 0 to rounds) {
-        val got = table.collect().toMap
-        for (i <- 0 until g.n; t <- 0 to T) {
-          val c: Chains = got(i.toLong)
-          assert((c.src(t).toInt, c.pos(t)) == walk(local, i, t, 1 << r),
-            s"round $r, slot ($i, $t)")
+      val schedules = Seq[(SparkRSLPA.Schedule, Int, Int, (Int, Int) => Int)](
+        (SparkRSLPA.jumping(T), rounds, rounds, (r, _) => 1 << r),
+        (SparkRSLPA.perIteration(T), T, math.min(T, 4), (r, t) => if (t <= r) T else 1))
+      for ((schedule, expected, stepped, steps) <- schedules) withClue(s"${schedule.name}: ") {
+        def check(table: RDD[(Long, Chains)], r: Int): Unit = {
+          val got = table.collect().toMap
+          for (i <- 0 until g.n; t <- 0 to T) {
+            val c: Chains = got(i.toLong)
+            assert((c.src(t).toInt, c.pos(t)) == walk(local, i, t, steps(r, t)),
+              s"round $r, slot ($i, $t)")
+          }
         }
-        if (r < rounds) table = SparkRSLPA.jump(table).persist()
+        var table = SparkRSLPA.picks(adj, T, seed, part).persist()
+        check(table, 0)
+        for (r <- 0 until stepped) {
+          val next = SparkRSLPA.jump(table, schedule.slots(r)).persist()
+          check(next, r + 1)
+          table.unpersist()
+          table = next
+        }
+        table.unpersist()
+        val (resolved, taken) = SparkRSLPA.resolve(SparkRSLPA.picks(adj, T, seed, part), T, schedule)
+        assert(taken == expected)
+        check(resolved, taken)
+        resolved.unpersist()
       }
-      table.unpersist()
-      val (resolved, taken) = SparkRSLPA.resolve(
-        SparkRSLPA.picks(GraphOps.adjacencyRDD(sc, g), T, seed, part).persist(), T)
-      assert(taken == rounds)
-      resolved.unpersist()
       assertSparkPathsMatchLocal(g, T, seed)
     }
   }
 
   test("pointer jumping throws on a table that ceil(log2 T) + 1 rounds cannot resolve") {
-    // (0, 1) -> (1, 1) -> (0, 1): a cycle, which no table of picks holds.
-    val cyclic = sc.parallelize(Seq(
-      0L -> Chains(Array(1L), Array(0L, 1L), Array(0, 1)),
-      1L -> Chains(Array(0L), Array(1L, 0L), Array(0, 1))
-    )).partitionBy(new HashPartitioner(2)).persist()
-    val e = intercept[IllegalStateException](SparkRSLPA.resolve(cyclic, T = 1))
-    assert(e.getMessage.contains("left 2 label slots unresolved after 1 rounds"))
+    // (0, 1) -> (1, 1) -> (0, 1): a cycle, which no table of picks holds;
+    // every other slot is resolved.
+    for (T <- Seq(1, 4)) {
+      def row(i: Long) = Chains(Array(1L - i), Array.tabulate(T + 1)(t => if (t == 1) 1L - i else i),
+        Array.tabulate(T + 1)(t => if (t == 1) 1 else 0))
+      val cyclic = sc.parallelize(Seq(0L -> row(0L), 1L -> row(1L))).partitionBy(new HashPartitioner(2))
+      for (schedule <- Seq(SparkRSLPA.jumping(T), SparkRSLPA.perIteration(T))) {
+        val e = intercept[IllegalStateException](SparkRSLPA.resolve(cyclic, T, schedule))
+        assert(e.getMessage ==
+          s"${schedule.name} left 2 label slots unresolved after ${schedule.cap} rounds (T = $T)")
+      }
+      assert(SparkRSLPA.jumping(T).cap == ceilLog2(T) + 1 && SparkRSLPA.perIteration(T).cap == T)
+      cyclic.unpersist()
+    }
   }
 
   private def sparse(v: Long): Long = v * (1L << 33) + 5
